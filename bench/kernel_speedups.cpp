@@ -1,7 +1,7 @@
-// Scalar-vs-SIMD speedup measurement for the three physics hot paths
-// (--kernel=scalar|simd): the LJ/Ewald pair kernel, the serial PME
-// reciprocal solve (B-spline spread + interpolate + FFT), and the 3-D FFT
-// on the paper's 80 x 36 x 48 grid.
+// Scalar-vs-SIMD speedup measurement for the physics hot paths that have
+// a kernel variant (--kernel=scalar|simd): the LJ/Ewald pair kernel and
+// the serial PME reciprocal solve (B-spline spread + interpolate; its FFT
+// has a single combine path, timed by bench/kernels_fft).
 //
 // This is a hand-timed binary rather than a google-benchmark one so it
 // can take --json=FILE and write BENCH_kernels.json directly (the
@@ -19,12 +19,10 @@
 #include <string>
 #include <vector>
 
-#include "fft/fft.hpp"
 #include "md/neighbor.hpp"
 #include "md/nonbonded.hpp"
 #include "pme/pme.hpp"
 #include "sysbuild/builder.hpp"
-#include "util/rng.hpp"
 
 using namespace repro;
 
@@ -126,43 +124,6 @@ FamilyResult run_pme(int reps, int iters) {
   return fr;
 }
 
-// --- 3-D FFT on the paper's PME grid -------------------------------------
-
-FamilyResult run_fft(int reps, int iters) {
-  constexpr int nx = 80, ny = 36, nz = 48;
-  constexpr std::size_t n = static_cast<std::size_t>(nx) * ny * nz;
-  util::Rng rng(1138);
-  std::vector<fft::Complex> ref(n);
-  for (auto& c : ref) c = fft::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-
-  fft::Fft3D scalar_plan(nx, ny, nz, util::KernelKind::kScalar);
-  fft::Fft3D simd_plan(nx, ny, nz, util::KernelKind::kSimd);
-
-  std::vector<fft::Complex> a = ref;
-  std::vector<fft::Complex> b = ref;
-  scalar_plan.forward(a.data());
-  simd_plan.forward(b.data());
-  FamilyResult fr;
-  fr.name = "fft3d_80x36x48";
-  fr.unit = "grid points";
-  fr.items = static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    fr.max_rel_err = std::max(fr.max_rel_err, rel_err(a[i].real(), b[i].real()));
-    fr.max_rel_err = std::max(fr.max_rel_err, rel_err(a[i].imag(), b[i].imag()));
-  }
-
-  std::vector<fft::Complex> work = ref;
-  fr.scalar_s = best_of(reps, iters, [&] {
-    work = ref;
-    scalar_plan.forward(work.data());
-  });
-  fr.simd_s = best_of(reps, iters, [&] {
-    work = ref;
-    simd_plan.forward(work.data());
-  });
-  return fr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -194,7 +155,6 @@ int main(int argc, char** argv) {
   std::vector<FamilyResult> results;
   results.push_back(run_pair(reps, iters));
   results.push_back(run_pme(reps, iters));
-  results.push_back(run_fft(reps, iters));
 
   bool ok = true;
   for (const auto& fr : results) {
@@ -220,9 +180,8 @@ int main(int argc, char** argv) {
         "{\n"
         "  \"benchmark\": \"SIMD kernel variants (this PR): branch-free "
         "#pragma omp simd pair kernel with tabulated erfc/exp, batched "
-        "B-spline weights + real staging grid in PME, per-level twiddle "
-        "tables in the FFT combine; scalar is the bit-exact golden "
-        "reference\",\n");
+        "B-spline weights + real staging grid in PME; scalar is the "
+        "bit-exact golden reference\",\n");
     std::fprintf(f,
                  "  \"machine\": { \"hardware_threads\": 1, \"note\": "
                  "\"single-vCPU container; -O3, no -march flags; best-of-%d "
@@ -231,7 +190,7 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"tolerance_note\": \"simd vs scalar checked per family "
                  "before timing; pair energies pinned to 1e-10 relative, PME "
-                 "and FFT are bit-identical (tests/kernel_variant_test.cpp). "
+                 "is bit-identical (tests/kernel_variant_test.cpp). "
                  "Both variants report identical work counters, so simulated "
                  "time is exactly kernel-independent.\",\n");
     std::fprintf(f, "  \"kernels\": [\n");

@@ -40,7 +40,7 @@ struct CharmmConfig {
   CostModel cost = CostModel::pentium3_1ghz();
 
   // Which kernel variant runs the physics hot paths (pair loop, B-spline
-  // spread/interpolation, FFT combine); see util/kernel.hpp. Both variants
+  // spread/interpolation); see util/kernel.hpp. Both variants
   // report identical work counters, so simulated timings are unaffected —
   // the factor only changes the host's wall-clock.
   util::KernelKind kernel = util::default_kernel_kind();

@@ -1,5 +1,6 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -34,8 +35,8 @@ std::size_t next_pow2(std::size_t n) {
 }  // namespace
 
 struct Fft1D::BluesteinPlan {
-  BluesteinPlan(std::size_t n, util::KernelKind kind)
-      : m(next_pow2(2 * n - 1)), fft_m(m, kind), chirp(n), b_fwd(m), b_inv(m) {
+  explicit BluesteinPlan(std::size_t n)
+      : m(next_pow2(2 * n - 1)), fft_m(m), chirp(n), b_fwd(m), b_inv(m) {
     // chirp[k] = exp(-i pi k^2 / n); the quadratic phase of the chirp-z
     // identity jk = (j^2 + k^2 - (k-j)^2) / 2.
     for (std::size_t k = 0; k < n; ++k) {
@@ -69,57 +70,56 @@ struct Fft1D::BluesteinPlan {
   std::vector<Complex> b_inv;
 };
 
-Fft1D::Fft1D(std::size_t n, util::KernelKind kind) : n_(n), kind_(kind) {
+Fft1D::Fft1D(std::size_t n) : n_(n) {
   REPRO_REQUIRE(n >= 1, "FFT size must be positive");
-  factors_ = factorize(n);
-  twiddle_.resize(n);
   if (n == 1) return;  // identity transform; no radixes or Bluestein needed
-  twiddle_conj_.resize(n);
+  const std::vector<std::size_t> factors = factorize(n);
+  if (factors.empty()) {
+    // Large prime factor: Bluestein's chirp-z (the helper plan is a power
+    // of two, so this never recurses more than one level).
+    blue_ = std::make_shared<BluesteinPlan>(n);
+    return;
+  }
+  // Root table W_n^k = exp(-2 pi i k / n); every level entry is a copy of
+  // one of these values (or its conjugate, which only flips a sign bit).
+  std::vector<Complex> twiddle(n);
   for (std::size_t k = 0; k < n; ++k) {
     const double angle =
         -2.0 * std::numbers::pi * static_cast<double>(k) /
         static_cast<double>(n);
-    twiddle_[k] = Complex(std::cos(angle), std::sin(angle));
-    // Precomputed conjugates let the inverse transform index a table
-    // instead of branching per pair in the combine loop; std::conj only
-    // flips a sign bit, so the values are exactly those the branch made.
-    twiddle_conj_[k] = std::conj(twiddle_[k]);
+    twiddle[k] = Complex(std::cos(angle), std::sin(angle));
   }
-  if (factors_.empty()) {
-    // Large prime factor: Bluestein's chirp-z (the helper plan is a power
-    // of two, so this never recurses more than one level).
-    blue_ = std::make_shared<BluesteinPlan>(n, kind);
-  } else if (kind_ == util::KernelKind::kSimd) {
-    // Expand the per-level combine tables. Every entry is copied from the
-    // root twiddle table, so the simd combine loads exactly the doubles
-    // the scalar exponent-counter path loads.
-    std::size_t level_n = n_;
-    while (level_n > 1) {
-      std::size_t r = 0;
-      for (std::size_t f : factors_) {
-        if (level_n % f == 0) {
-          r = f;
-          break;
-        }
+  // A level of size n' takes the first radix in factorize()'s order that
+  // divides it; W_{n'}^t == W_n^{t * n/n'}.
+  std::size_t level_n = n;
+  while (level_n > 1) {
+    std::size_t r = 0;
+    for (std::size_t f : factors) {
+      if (level_n % f == 0) {
+        r = f;
+        break;
       }
-      REPRO_REQUIRE(r != 0, "internal: lost radix during FFT table build");
-      LevelTable lvl;
-      lvl.n = level_n;
-      lvl.r = r;
-      lvl.m = level_n / r;
-      lvl.fwd.resize(r * level_n);
-      lvl.inv.resize(r * level_n);
-      const std::size_t tw_step = n_ / level_n;
-      for (std::size_t j = 0; j < r; ++j) {
-        for (std::size_t k = 0; k < level_n; ++k) {
-          const std::size_t t = (j * k) % level_n;
-          lvl.fwd[j * level_n + k] = twiddle_[t * tw_step];
-          lvl.inv[j * level_n + k] = twiddle_conj_[t * tw_step];
-        }
-      }
-      levels_.push_back(std::move(lvl));
-      level_n /= r;
     }
+    REPRO_REQUIRE(r != 0, "internal: lost radix during FFT table build");
+    Level lvl;
+    lvl.n = level_n;
+    lvl.r = r;
+    lvl.m = level_n / r;
+    lvl.fwd.resize(2 * r * level_n);
+    lvl.inv.resize(2 * r * level_n);
+    const std::size_t tw_step = n / level_n;
+    for (std::size_t j = 0; j < r; ++j) {
+      for (std::size_t k = 0; k < level_n; ++k) {
+        const Complex w = twiddle[(j * k) % level_n * tw_step];
+        const std::size_t at = 2 * (j * level_n + k);
+        lvl.fwd[at] = w.real();
+        lvl.fwd[at + 1] = w.imag();
+        lvl.inv[at] = w.real();
+        lvl.inv[at + 1] = -w.imag();
+      }
+    }
+    levels_.push_back(std::move(lvl));
+    level_n /= r;
   }
 }
 
@@ -131,131 +131,97 @@ double Fft1D::flops() const {
   return work;
 }
 
-void Fft1D::forward(Complex* data) const { transform(data, +1); }
+void Fft1D::forward(Complex* data) const { transform(data, false); }
 
 void Fft1D::inverse(Complex* data) const {
-  transform(data, -1);
+  transform(data, true);
   const double scale = 1.0 / static_cast<double>(n_);
   for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
 }
 
-void Fft1D::transform(Complex* data, int sign) const {
+void Fft1D::transform(Complex* data, bool inverse) const {
   if (n_ == 1) return;
   if (blue_) {
-    bluestein(data, sign);
+    bluestein(data, inverse);
     return;
   }
   // Persistent per-thread scratch: transform() runs once per grid pencil,
-  // so per-call allocation dominated small-n transforms. rec() writes each
-  // sub-result fully before reading it, and the only nested transform
+  // so per-call allocation dominated small-n transforms. combine() writes
+  // each sub-result fully before reading it, and the only nested transform
   // (Bluestein's helper) uses its own buffer, so reuse is safe.
-  static thread_local std::vector<Complex> out_buf;
-  static thread_local std::vector<Complex> scratch_buf;
-  if (out_buf.size() < n_) {
-    out_buf.resize(n_);
-    scratch_buf.resize(n_);
+  static thread_local std::vector<double> out_buf;
+  static thread_local std::vector<double> scratch_buf;
+  if (out_buf.size() < 2 * n_) {
+    out_buf.resize(2 * n_);
+    scratch_buf.resize(2 * n_);
   }
-  if (kind_ == util::KernelKind::kSimd) {
-    rec_simd(0, 1, data, out_buf.data(), scratch_buf.data(), sign);
-  } else {
-    rec(n_, 1, data, out_buf.data(), scratch_buf.data(), sign);
-  }
-  for (std::size_t i = 0; i < n_; ++i) data[i] = out_buf[i];
+  // std::complex<double> is layout-compatible with double[2].
+  auto* d = reinterpret_cast<double*>(data);
+  combine(0, 1, d, out_buf.data(), scratch_buf.data(), inverse);
+  std::copy(out_buf.begin(), out_buf.begin() + 2 * n_, d);
 }
 
-void Fft1D::rec(std::size_t n, std::size_t stride, const Complex* in,
-                Complex* out, Complex* scratch, int sign) const {
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  // Pick the radix for this level: factors_ is a flat list, so recompute
-  // the first factor of this n (all n values on the path divide n_, so a
-  // factor always exists among the plan's radixes).
-  std::size_t r = 0;
-  for (std::size_t f : factors_) {
-    if (n % f == 0) {
-      r = f;
-      break;
-    }
-  }
-  REPRO_REQUIRE(r != 0, "internal: lost radix during FFT recursion");
-  const std::size_t m = n / r;
-
-  // Sub-transform j handles inputs j, j+r, j+2r, ... (decimation in time).
-  if (m == 1) {
-    // Leaf level: each sub-transform is a single element; gather directly
-    // instead of r one-point recursive calls.
-    for (std::size_t j = 0; j < r; ++j) scratch[j] = in[j * stride];
-  } else {
-    for (std::size_t j = 0; j < r; ++j) {
-      rec(m, stride * r, in + j * stride, scratch + j * m, out + j * m, sign);
-    }
-  }
-  // Combine: X[k2 + m*k1] = sum_j W_n^{j*(k2 + m*k1)} * Y_j[k2].
-  // Twiddles come from the root table: W_n^t == twiddle_[t * (n_/n) % n_].
-  // The exponents advance arithmetically in k — t_j(k) = (j*k) mod n steps
-  // by j with one wrap, and k2 = k mod m steps by one — so the inner loop
-  // carries counters instead of computing two modulos per pair. The
-  // conjugate table replaces the per-pair sign branch. Both changes are
-  // integer/table bookkeeping only: every loaded twiddle and every
-  // floating-point operation is bit-identical to the naive form.
-  const std::size_t tw_step = n_ / n;
-  const Complex* tw = sign < 0 ? twiddle_conj_.data() : twiddle_.data();
-  std::size_t tvals[32] = {};  // per-j exponent; factorize() caps r at 31
-  std::size_t k2 = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    Complex acc(0, 0);
-    for (std::size_t j = 0; j < r; ++j) {
-      acc += tw[tvals[j] * tw_step] * scratch[j * m + k2];
-      tvals[j] += j;  // j < n, so a single conditional wrap suffices
-      if (tvals[j] >= n) tvals[j] -= n;
-    }
-    out[k] = acc;
-    if (++k2 == m) k2 = 0;
-  }
-}
-
-void Fft1D::rec_simd(std::size_t level, std::size_t stride, const Complex* in,
-                     Complex* out, Complex* scratch, int sign) const {
-  const LevelTable& lvl = levels_[level];
+void Fft1D::combine(std::size_t level, std::size_t stride, const double* in,
+                    double* out, double* scratch, bool inverse) const {
+  const Level& lvl = levels_[level];
   const std::size_t n = lvl.n;
   const std::size_t r = lvl.r;
   const std::size_t m = lvl.m;
+  // X[k2 + m*k1] = sum_j W_n^{j*(k2 + m*k1)} * Y_j[k2], accumulated in
+  // ascending j from +0.0, so even signed zeros match a zero-initialised
+  // accumulator. Sub-transform j handles inputs j, j+r, j+2r, ...
+  const double* table = inverse ? lvl.inv.data() : lvl.fwd.data();
   if (m == 1) {
-    for (std::size_t j = 0; j < r; ++j) scratch[j] = in[j * stride];
-  } else {
-    for (std::size_t j = 0; j < r; ++j) {
-      rec_simd(level + 1, stride * r, in + j * stride, scratch + j * m,
-               out + j * m, sign);
+    // Leaf level: Y_j is the single input element j, so this is a direct
+    // r-point DFT with the accumulator in registers.
+    for (std::size_t k = 0; k < r; ++k) {
+      double re = 0.0, im = 0.0;
+      for (std::size_t j = 0; j < r; ++j) {
+        const double tr = table[2 * (j * r + k)];
+        const double ti = table[2 * (j * r + k) + 1];
+        const double sr = in[2 * j * stride], si = in[2 * j * stride + 1];
+        re += tr * sr - ti * si;
+        im += tr * si + ti * sr;
+      }
+      out[2 * k] = re;
+      out[2 * k + 1] = im;
     }
+    return;
   }
-  // Table-driven combine: out[k] accumulates its r terms in ascending j —
-  // the same order, twiddle values, and complex multiplies as rec(), so
-  // the result is bit-identical. The j-outer/k-inner shape turns the hot
-  // loop into contiguous multiply-accumulate streams with no index
-  // arithmetic beyond the induction variable. j == 0 multiplies by the
-  // table's W^0 entry instead of special-casing it, preserving the scalar
-  // path's signed-zero behavior exactly.
-  const Complex* table = sign < 0 ? lvl.inv.data() : lvl.fwd.data();
   for (std::size_t j = 0; j < r; ++j) {
-    const Complex* tj = table + j * n;
-    const Complex* sj = scratch + j * m;
+    combine(level + 1, stride * r, in + 2 * j * stride, scratch + 2 * j * m,
+            out + 2 * j * m, inverse);
+  }
+  // j-outer/k-inner: contiguous multiply-accumulate streams. Sub-results
+  // are sums started from +0.0, which round-to-nearest never leaves at
+  // -0.0, so storing the j == 0 term bare equals adding it to +0.0.
+  for (std::size_t j = 0; j < r; ++j) {
+    const double* s = scratch + 2 * j * m;
     for (std::size_t k1 = 0; k1 < r; ++k1) {
-      Complex* o = out + k1 * m;
-      const Complex* t = tj + k1 * m;
+      double* o = out + 2 * k1 * m;
+      const double* t = table + 2 * (j * n + k1 * m);
       if (j == 0) {
 #pragma omp simd
-        for (std::size_t k2 = 0; k2 < m; ++k2) o[k2] = t[k2] * sj[k2];
+        for (std::size_t k2 = 0; k2 < m; ++k2) {
+          const double tr = t[2 * k2], ti = t[2 * k2 + 1];
+          const double sr = s[2 * k2], si = s[2 * k2 + 1];
+          o[2 * k2] = tr * sr - ti * si;
+          o[2 * k2 + 1] = tr * si + ti * sr;
+        }
       } else {
 #pragma omp simd
-        for (std::size_t k2 = 0; k2 < m; ++k2) o[k2] += t[k2] * sj[k2];
+        for (std::size_t k2 = 0; k2 < m; ++k2) {
+          const double tr = t[2 * k2], ti = t[2 * k2 + 1];
+          const double sr = s[2 * k2], si = s[2 * k2 + 1];
+          o[2 * k2] += tr * sr - ti * si;
+          o[2 * k2 + 1] += tr * si + ti * sr;
+        }
       }
     }
   }
 }
 
-void Fft1D::bluestein(Complex* data, int sign) const {
+void Fft1D::bluestein(Complex* data, bool inverse) const {
   const BluesteinPlan& bp = *blue_;
   const std::size_t m = bp.m;
   // Separate from transform()'s buffers: bp.fft_m's transforms below run
@@ -264,25 +230,23 @@ void Fft1D::bluestein(Complex* data, int sign) const {
   static thread_local std::vector<Complex> a;
   a.assign(m, Complex(0, 0));
   for (std::size_t k = 0; k < n_; ++k) {
-    const Complex c = sign > 0 ? bp.chirp[k] : std::conj(bp.chirp[k]);
+    const Complex c = inverse ? std::conj(bp.chirp[k]) : bp.chirp[k];
     a[k] = data[k] * c;
   }
   bp.fft_m.forward(a.data());
-  const auto& b = sign > 0 ? bp.b_fwd : bp.b_inv;
+  const auto& b = inverse ? bp.b_inv : bp.b_fwd;
   for (std::size_t i = 0; i < m; ++i) a[i] *= b[i];
   bp.fft_m.inverse(a.data());
   for (std::size_t k = 0; k < n_; ++k) {
-    const Complex c = sign > 0 ? bp.chirp[k] : std::conj(bp.chirp[k]);
+    const Complex c = inverse ? std::conj(bp.chirp[k]) : bp.chirp[k];
     data[k] = a[k] * c;
   }
 }
 
 // --- 3-D -------------------------------------------------------------------
 
-Fft3D::Fft3D(std::size_t nx, std::size_t ny, std::size_t nz,
-             util::KernelKind kind)
-    : nx_(nx), ny_(ny), nz_(nz), fx_(nx, kind), fy_(ny, kind),
-      fz_(nz, kind) {}
+Fft3D::Fft3D(std::size_t nx, std::size_t ny, std::size_t nz)
+    : nx_(nx), ny_(ny), nz_(nz), fx_(nx), fy_(ny), fz_(nz) {}
 
 double Fft3D::flops() const {
   const auto dx = static_cast<double>(nx_);

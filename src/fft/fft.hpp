@@ -6,14 +6,17 @@
 // Fft3D applies 1-D plans along the three axes of a row-major
 // [nx][ny][nz] grid.
 //
-// Plans carry a kernel variant (util::KernelKind). kSimd swaps the
-// combine step for per-level contiguous twiddle tables whose inner loops
-// are plain elementwise multiply-accumulates (#pragma omp simd): every
-// loaded twiddle is the same root-table entry the scalar path loads and
-// every out[k] accumulates its radix terms in the same order, so the simd
-// transform is bit-identical to the scalar one — the variant only changes
-// wall-clock (no modular index bookkeeping in the hot loop, contiguous
-// twiddle streams).
+// There is one combine path: decimation in time over a flat chain of
+// per-level twiddle tables. Entry [j*n + k] of a level's table holds
+// W_n^{(j*k) mod n}, copied from one root table, so the combine loop
+// streams twiddles contiguously with no index arithmetic. The loop is
+// written on explicit real/imaginary doubles rather than std::complex:
+// std::complex's operator* carries a NaN-recovery branch (a call to
+// __muldc3) that blocks vectorisation, and the inputs here are always
+// finite. Each out[k] accumulates its radix terms in ascending j, starting
+// from +0.0 and multiplying the j == 0 term by W^0, so every transform
+// performs the classic recursive Cooley-Tukey's floating-point operations
+// in the same order (tests/fft_test.cpp keeps that form as the oracle).
 #pragma once
 
 #include <complex>
@@ -21,16 +24,13 @@
 #include <memory>
 #include <vector>
 
-#include "util/kernel.hpp"
-
 namespace repro::fft {
 
 using Complex = std::complex<double>;
 
 class Fft1D {
  public:
-  explicit Fft1D(std::size_t n,
-                 util::KernelKind kind = util::default_kernel_kind());
+  explicit Fft1D(std::size_t n);
 
   std::size_t size() const { return n_; }
 
@@ -43,35 +43,25 @@ class Fft1D {
   // used by the simulator's compute-cost model.
   double flops() const;
 
-  util::KernelKind kernel() const { return kind_; }
-
  private:
-  void transform(Complex* data, int sign) const;
-  // Recursive Cooley-Tukey into `out`, using `scratch` for sub-results.
-  void rec(std::size_t n, std::size_t stride, const Complex* in, Complex* out,
-           Complex* scratch, int sign) const;
-  // Simd variant of rec(): same recursion shape, table-driven combine.
-  // `level` indexes levels_ (every same-size call sits at the same depth
-  // of the radix chain, so the chain is a flat vector, not a tree).
-  void rec_simd(std::size_t level, std::size_t stride, const Complex* in,
-                Complex* out, Complex* scratch, int sign) const;
-  void bluestein(Complex* data, int sign) const;
+  void transform(Complex* data, bool inverse) const;
+  // One decimation-in-time level into `out` (interleaved re/im doubles),
+  // using `scratch` for the r sub-results. `level` indexes levels_: every
+  // same-size call sits at the same depth of the radix chain, so the
+  // chain is a flat vector, not a tree.
+  void combine(std::size_t level, std::size_t stride, const double* in,
+               double* out, double* scratch, bool inverse) const;
+  void bluestein(Complex* data, bool inverse) const;
 
   std::size_t n_;
-  util::KernelKind kind_;
-  std::vector<std::size_t> factors_;   // radix sequence (empty => Bluestein)
-  std::vector<Complex> twiddle_;       // exp(-2 pi i k / n), k in [0, n)
-  std::vector<Complex> twiddle_conj_;  // conj(twiddle_[k]) (exact), for the
-                                       // inverse transform's hot loop
-  // Per-recursion-level combine tables (simd variant only): entry
-  // [j*n + k] holds W_n^{(j*k) mod n} copied from the root table, so the
-  // combine loop streams twiddles contiguously instead of carrying
-  // per-radix exponent counters.
-  struct LevelTable {
+  // Radix-chain level tables (empty for n == 1 and for Bluestein sizes),
+  // interleaved re/im: fwd[2*(j*n + k)] is Re W_n^{(j*k) mod n}; inv holds
+  // the exact conjugates.
+  struct Level {
     std::size_t n = 0, r = 0, m = 0;
-    std::vector<Complex> fwd, inv;
+    std::vector<double> fwd, inv;
   };
-  std::vector<LevelTable> levels_;
+  std::vector<Level> levels_;
   // Bluestein machinery (only allocated when needed).
   struct BluesteinPlan;
   std::shared_ptr<BluesteinPlan> blue_;
@@ -79,8 +69,7 @@ class Fft1D {
 
 class Fft3D {
  public:
-  Fft3D(std::size_t nx, std::size_t ny, std::size_t nz,
-        util::KernelKind kind = util::default_kernel_kind());
+  Fft3D(std::size_t nx, std::size_t ny, std::size_t nz);
 
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }

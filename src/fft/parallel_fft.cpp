@@ -127,8 +127,7 @@ int SlabPartition::owner(std::size_t plane) const {
 
 ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
                              middleware::Middleware& mw,
-                             std::function<void(double)> charge,
-                             util::KernelKind kind)
+                             std::function<void(double)> charge)
     : nx_(nx),
       ny_(ny),
       nz_(nz),
@@ -136,9 +135,9 @@ ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
       charge_(std::move(charge)),
       xpart_(nx, mw.size()),
       zpart_(nz, mw.size()),
-      fx_(nx, kind),
-      fy_(ny, kind),
-      fz_(nz, kind) {
+      fx_(nx),
+      fy_(ny),
+      fz_(nz) {
   const std::size_t cap = std::max(x_slab_size(), z_slab_size());
   sendbuf_.resize(cap);
   recvbuf_.resize(cap);
@@ -404,14 +403,13 @@ std::size_t PencilGrid::stage3_size(int rank) const {
 }
 
 PencilFft3D::PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
-                         std::function<void(double)> charge,
-                         util::KernelKind kind)
+                         std::function<void(double)> charge)
     : grid_(grid),
       comm_(comm),
       charge_(std::move(charge)),
-      fx_(grid.nx, kind),
-      fy_(grid.ny, kind),
-      fz_(grid.nz, kind) {
+      fx_(grid.nx),
+      fy_(grid.ny),
+      fz_(grid.nz) {
   const int me = comm_.rank();
   const std::size_t cap =
       std::max({grid_.stage1_size(me), grid_.stage2_size(me),

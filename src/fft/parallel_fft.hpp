@@ -45,8 +45,7 @@ class ParallelFft3D {
   // empty (tests that only check numerics).
   ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
                 middleware::Middleware& mw,
-                std::function<void(double flops)> charge = {},
-                util::KernelKind kind = util::default_kernel_kind());
+                std::function<void(double flops)> charge = {});
 
   const SlabPartition& x_slabs() const { return xpart_; }
   const SlabPartition& z_slabs() const { return zpart_; }
@@ -136,8 +135,7 @@ struct PencilGrid {
 class PencilFft3D {
  public:
   PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
-              std::function<void(double flops)> charge = {},
-              util::KernelKind kind = util::default_kernel_kind());
+              std::function<void(double flops)> charge = {});
 
   const PencilGrid& grid() const { return grid_; }
 

@@ -293,9 +293,15 @@ void NeighborList::build_subset(const Topology& topo, const Box& box,
     }
     cell_cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
     cell_atoms_.resize(nc);
+    // A cell pair yields a kept pair only if one of its two cells holds a
+    // row-masked candidate: the pair's smaller id is one of its atoms.
+    cell_has_row_.assign(ncells, 0);
     for (std::size_t s = 0; s < nc; ++s) {
-      cell_atoms_[cell_cursor_[static_cast<std::size_t>(atom_cell_[s])]++] =
-          candidates[s];
+      const auto c = static_cast<std::size_t>(atom_cell_[s]);
+      cell_atoms_[cell_cursor_[c]++] = candidates[s];
+      if (row_mask[static_cast<std::size_t>(candidates[s])]) {
+        cell_has_row_[c] = 1;
+      }
     }
     static constexpr int kStencil[14][3] = {
         {0, 0, 0},  {1, 0, 0},   {0, 1, 0},  {0, 0, 1},  {1, 1, 0},
@@ -315,6 +321,7 @@ void NeighborList::build_subset(const Topology& topo, const Box& box,
             const int oz = (cz + offs[2] + ncz) % ncz;
             const std::size_t other = static_cast<std::size_t>(
                 (ox * ncy + oy) * ncz + oz);
+            if (!cell_has_row_[home] && !cell_has_row_[other]) continue;
             const std::size_t o0 = cell_start_[other];
             const std::size_t o1 = cell_start_[other + 1];
             const bool self = offs[0] == 0 && offs[1] == 0 && offs[2] == 0;

@@ -81,6 +81,7 @@ class NeighborList {
   std::vector<std::size_t> cell_start_;
   std::vector<std::size_t> cell_cursor_;
   std::vector<int> cell_atoms_;
+  std::vector<std::uint8_t> cell_has_row_;  // build_subset only
   std::vector<std::pair<int, int>> pair_buf_;
   std::vector<std::size_t> row_cursor_;
 };

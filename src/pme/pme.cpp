@@ -99,6 +99,56 @@ std::size_t wrapped_overlap(std::size_t start, std::size_t count,
   return seg(start, n) + seg(0, end - n);
 }
 
+namespace {
+
+// Runs of k in [0, count) with (start + k) mod n in [b, e), ascending k.
+int wrapped_runs(std::size_t start, std::size_t count, std::size_t n,
+                 std::size_t b, std::size_t e, PlaneRun* out) {
+  int nruns = 0;
+  auto seg = [&](std::size_t local, std::size_t p0, std::size_t p1) {
+    const std::size_t lo = std::max(p0, b);
+    const std::size_t hi = std::min(p1, e);
+    if (hi > lo) out[nruns++] = PlaneRun{local + (lo - p0), lo, hi - lo};
+  };
+  const std::size_t head = std::min(count, n - start);
+  seg(0, start, start + head);
+  if (count > head) seg(head, 0, count - head);
+  return nruns;
+}
+
+}  // namespace
+
+std::size_t PlaneBlock::size() const {
+  std::size_t ny = 0, nz = 0;
+  for (int a = 0; a < ny_runs; ++a) ny += y[a].len;
+  for (int b = 0; b < nz_runs; ++b) nz += z[b].len;
+  return cx * ny * nz;
+}
+
+PlaneBlock plane_block(const GridRegion& reg, const fft::PencilGrid& g,
+                       int q) {
+  PlaneBlock blk;
+  if (reg.empty() || !g.participates(q)) return blk;
+  REPRO_REQUIRE(reg.x0 < g.nx && reg.cx <= g.nx && reg.y0 < g.ny &&
+                    reg.cy <= g.ny && reg.z0 < g.nz && reg.cz <= g.nz,
+                "PME grid region exceeds the charge grid");
+  const int yc = g.ycoord(q);
+  const int zc = g.zcoord(q);
+  blk.x0 = reg.x0;
+  blk.cx = reg.cx;
+  blk.cy = reg.cy;
+  blk.cz = reg.cz;
+  blk.nx = g.nx;
+  blk.yb = g.ypart.begin(yc);
+  blk.zb = g.zpart.begin(zc);
+  blk.lz1 = g.zpart.count(zc);
+  blk.ny_runs = wrapped_runs(reg.y0, reg.cy, g.ny, blk.yb, g.ypart.end(yc),
+                             blk.y);
+  blk.nz_runs = wrapped_runs(reg.z0, reg.cz, g.nz, blk.zb, g.zpart.end(zc),
+                             blk.z);
+  return blk;
+}
+
 double ewald_self_energy(const Topology& topo, double beta) {
   double q2 = 0.0;
   for (int i = 0; i < topo.natoms(); ++i) {
@@ -176,7 +226,7 @@ SerialPme::SerialPme(const PmeParams& params, const Box& box,
     : params_(params),
       box_(box),
       kind_(kind),
-      fft_(params.nx, params.ny, params.nz, kind),
+      fft_(params.nx, params.ny, params.nz),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
@@ -433,13 +483,12 @@ double SerialPme::reciprocal_simd(const Topology& topo,
 
 ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
                          middleware::Middleware& mw,
-                         std::function<void(double)> charge_compute,
-                         util::KernelKind kind)
+                         std::function<void(double)> charge_compute)
     : params_(params),
       box_(box),
       mw_(mw),
       charge_(std::move(charge_compute)),
-      pfft_(params.nx, params.ny, params.nz, mw, charge_, kind),
+      pfft_(params.nx, params.ny, params.nz, mw, charge_),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
@@ -583,14 +632,13 @@ double ParallelPme::reciprocal(const Topology& topo,
 
 PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
                      int py, int pz, std::vector<GridRegion> regions,
-                     std::function<void(double)> charge_compute,
-                     util::KernelKind kind)
+                     std::function<void(double)> charge_compute)
     : params_(params),
       box_(box),
       comm_(comm),
       charge_(std::move(charge_compute)),
       pfft_(fft::PencilGrid(params.nx, params.ny, params.nz, py, pz), comm,
-            charge_, kind),
+            charge_),
       regions_(std::move(regions)),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
@@ -608,13 +656,13 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
 
 // Charge plane exchange: every rank ships, for each stage-1 pencil owner
 // q, the part of its spread region that lands on q's (y, z) planes — all
-// of the region's x extent, the y/z overlap with q's pencil. Elements are
-// enumerated in region-local (x, y, z) order filtered by membership, the
-// same loop on the packing, unpacking, and predicting sides. Receivers
-// ACCUMULATE: neighbor regions overlap by the stencil pad, and each atom
-// is spread exactly once (by its owner), so summing the blocks
-// reconstructs the full charge grid. Self blocks are local copies; the
-// all-sends-then-all-recvs order is deadlock-free under eager sends.
+// of the region's x extent, the y/z overlap with q's pencil
+// (plane_block). Elements travel in region-local (x, y, z) order on both
+// the packing and unpacking sides. Receivers ACCUMULATE: neighbor regions
+// overlap by the stencil pad, and each atom is spread exactly once (by
+// its owner), so summing the blocks reconstructs the full charge grid.
+// Self blocks are local copies; the all-sends-then-all-recvs order is
+// deadlock-free under eager sends.
 void PencilPme::exchange_charges(int tag) {
   const int me = comm_.rank();
   const int nprocs = comm_.size();
@@ -623,91 +671,35 @@ void PencilPme::exchange_charges(int tag) {
   std::fill(stage1_.begin(), stage1_.end(), fft::Complex(0, 0));
   std::size_t moved = 0;
 
-  // Pack my region's block for pencil owner q (or accumulate directly
-  // when q == me).
-  auto pack_or_self = [&](int q, bool self) {
-    const std::size_t yb = g.ypart.begin(g.ycoord(q));
-    const std::size_t ye = g.ypart.end(g.ycoord(q));
-    const std::size_t zb = g.zpart.begin(g.zcoord(q));
-    const std::size_t ze = g.zpart.end(g.zcoord(q));
-    const std::size_t lz1 = g.zpart.count(g.zcoord(me));
+  const PlaneBlock self = plane_block(reg, g, me);
+  self.for_each([&](std::size_t ri, std::size_t pi) {
+    stage1_[pi] += region_[ri];
+  });
+  moved += 2 * self.size();
+  for (int q = 0; q < nprocs; ++q) {
+    const PlaneBlock blk = plane_block(reg, g, q);
+    const std::size_t n = blk.size();
+    if (q == me || n == 0) continue;
+    msgbuf_.resize(std::max(msgbuf_.size(), n));
     std::size_t at = 0;
-    for (std::size_t xl = 0; xl < reg.cx; ++xl) {
-      const std::size_t x = (reg.x0 + xl) % g.nx;
-      for (std::size_t yl = 0; yl < reg.cy; ++yl) {
-        const std::size_t y = (reg.y0 + yl) % g.ny;
-        if (y < yb || y >= ye) continue;
-        for (std::size_t zl = 0; zl < reg.cz; ++zl) {
-          const std::size_t z = (reg.z0 + zl) % g.nz;
-          if (z < zb || z >= ze) continue;
-          const double v = region_[(xl * reg.cy + yl) * reg.cz + zl];
-          if (self) {
-            stage1_[((y - yb) * lz1 + (z - zb)) * g.nx + x] += v;
-          } else {
-            if (msgbuf_.size() <= at) msgbuf_.resize(at + 1);
-            msgbuf_[at] = v;
-          }
-          ++at;
-        }
-      }
-    }
-    return at;
-  };
-  // Unpack rank r's block into my stage-1 pencils.
-  auto unpack_from = [&](int r) {
-    const GridRegion& rr = regions_[static_cast<std::size_t>(r)];
-    const std::size_t yb = g.ypart.begin(g.ycoord(me));
-    const std::size_t ye = g.ypart.end(g.ycoord(me));
-    const std::size_t zb = g.zpart.begin(g.zcoord(me));
-    const std::size_t ze = g.zpart.end(g.zcoord(me));
-    const std::size_t lz1 = g.zpart.count(g.zcoord(me));
-    std::size_t i = 0;
-    for (std::size_t xl = 0; xl < rr.cx; ++xl) {
-      const std::size_t x = (rr.x0 + xl) % g.nx;
-      for (std::size_t yl = 0; yl < rr.cy; ++yl) {
-        const std::size_t y = (rr.y0 + yl) % g.ny;
-        if (y < yb || y >= ye) continue;
-        for (std::size_t zl = 0; zl < rr.cz; ++zl) {
-          const std::size_t z = (rr.z0 + zl) % g.nz;
-          if (z < zb || z >= ze) continue;
-          stage1_[((y - yb) * lz1 + (z - zb)) * g.nx + x] += msgbuf_[i++];
-        }
-      }
-    }
-    return i;
-  };
-  auto block_elems = [&](const GridRegion& rr, int q) {
-    if (rr.empty() || !g.participates(q)) return std::size_t{0};
-    const int yc = g.ycoord(q);
-    const int zc = g.zcoord(q);
-    return rr.cx *
-           wrapped_overlap(rr.y0, rr.cy, g.ny, g.ypart.begin(yc),
-                           g.ypart.end(yc)) *
-           wrapped_overlap(rr.z0, rr.cz, g.nz, g.zpart.begin(zc),
-                           g.zpart.end(zc));
-  };
-
-  if (g.participates(me) && !reg.empty()) {
-    moved += 2 * pack_or_self(me, /*self=*/true);
+    blk.for_each([&](std::size_t ri, std::size_t) {
+      msgbuf_[at++] = region_[ri];
+    });
+    comm_.send(q, tag, msgbuf_.data(), n * sizeof(double));
+    moved += n;
   }
-  if (!reg.empty()) {
-    for (int q = 0; q < nprocs; ++q) {
-      if (q == me || block_elems(reg, q) == 0) continue;
-      const std::size_t n = pack_or_self(q, /*self=*/false);
-      comm_.send(q, tag, msgbuf_.data(), n * sizeof(double));
-      moved += n;
-    }
-  }
-  if (g.participates(me)) {
-    for (int r = 0; r < nprocs; ++r) {
-      if (r == me) continue;
-      const std::size_t n =
-          block_elems(regions_[static_cast<std::size_t>(r)], me);
-      if (n == 0) continue;
-      if (msgbuf_.size() < n) msgbuf_.resize(n);
-      comm_.recv(r, tag, msgbuf_.data(), n * sizeof(double));
-      moved += unpack_from(r);
-    }
+  for (int r = 0; r < nprocs; ++r) {
+    const PlaneBlock blk =
+        plane_block(regions_[static_cast<std::size_t>(r)], g, me);
+    const std::size_t n = blk.size();
+    if (r == me || n == 0) continue;
+    msgbuf_.resize(std::max(msgbuf_.size(), n));
+    comm_.recv(r, tag, msgbuf_.data(), n * sizeof(double));
+    std::size_t at = 0;
+    blk.for_each([&](std::size_t, std::size_t pi) {
+      stage1_[pi] += msgbuf_[at++];
+    });
+    moved += n;
   }
   charge(static_cast<double>(moved));  // ~1 flop per packed/unpacked element
 }
@@ -724,92 +716,35 @@ void PencilPme::return_potential(int tag) {
   const GridRegion& reg = my_region();
   std::size_t moved = 0;
 
-  // Pack the block of rank r's region that my stage-1 pencils own (or
-  // write it straight into my own region when r == me).
-  auto pack_or_self = [&](int r, bool self) {
-    const GridRegion& rr = regions_[static_cast<std::size_t>(r)];
-    const std::size_t yb = g.ypart.begin(g.ycoord(me));
-    const std::size_t ye = g.ypart.end(g.ycoord(me));
-    const std::size_t zb = g.zpart.begin(g.zcoord(me));
-    const std::size_t ze = g.zpart.end(g.zcoord(me));
-    const std::size_t lz1 = g.zpart.count(g.zcoord(me));
+  const PlaneBlock self = plane_block(reg, g, me);
+  self.for_each([&](std::size_t ri, std::size_t pi) {
+    region_[ri] = stage1_[pi].real();
+  });
+  moved += 2 * self.size();
+  for (int r = 0; r < nprocs; ++r) {
+    const PlaneBlock blk =
+        plane_block(regions_[static_cast<std::size_t>(r)], g, me);
+    const std::size_t n = blk.size();
+    if (r == me || n == 0) continue;
+    msgbuf_.resize(std::max(msgbuf_.size(), n));
     std::size_t at = 0;
-    for (std::size_t xl = 0; xl < rr.cx; ++xl) {
-      const std::size_t x = (rr.x0 + xl) % g.nx;
-      for (std::size_t yl = 0; yl < rr.cy; ++yl) {
-        const std::size_t y = (rr.y0 + yl) % g.ny;
-        if (y < yb || y >= ye) continue;
-        for (std::size_t zl = 0; zl < rr.cz; ++zl) {
-          const std::size_t z = (rr.z0 + zl) % g.nz;
-          if (z < zb || z >= ze) continue;
-          const double v =
-              stage1_[((y - yb) * lz1 + (z - zb)) * g.nx + x].real();
-          if (self) {
-            region_[(xl * rr.cy + yl) * rr.cz + zl] = v;
-          } else {
-            if (msgbuf_.size() <= at) msgbuf_.resize(at + 1);
-            msgbuf_[at] = v;
-          }
-          ++at;
-        }
-      }
-    }
-    return at;
-  };
-  // Unpack pencil owner q's block into my region.
-  auto unpack_from = [&](int q) {
-    const std::size_t yb = g.ypart.begin(g.ycoord(q));
-    const std::size_t ye = g.ypart.end(g.ycoord(q));
-    const std::size_t zb = g.zpart.begin(g.zcoord(q));
-    const std::size_t ze = g.zpart.end(g.zcoord(q));
-    std::size_t i = 0;
-    for (std::size_t xl = 0; xl < reg.cx; ++xl) {
-      for (std::size_t yl = 0; yl < reg.cy; ++yl) {
-        const std::size_t y = (reg.y0 + yl) % g.ny;
-        if (y < yb || y >= ye) continue;
-        for (std::size_t zl = 0; zl < reg.cz; ++zl) {
-          const std::size_t z = (reg.z0 + zl) % g.nz;
-          if (z < zb || z >= ze) continue;
-          region_[(xl * reg.cy + yl) * reg.cz + zl] = msgbuf_[i++];
-        }
-      }
-    }
-    return i;
-  };
-  auto block_elems = [&](const GridRegion& rr, int q) {
-    if (rr.empty() || !g.participates(q)) return std::size_t{0};
-    const int yc = g.ycoord(q);
-    const int zc = g.zcoord(q);
-    return rr.cx *
-           wrapped_overlap(rr.y0, rr.cy, g.ny, g.ypart.begin(yc),
-                           g.ypart.end(yc)) *
-           wrapped_overlap(rr.z0, rr.cz, g.nz, g.zpart.begin(zc),
-                           g.zpart.end(zc));
-  };
-
-  if (g.participates(me) && !reg.empty()) {
-    moved += 2 * pack_or_self(me, /*self=*/true);
+    blk.for_each([&](std::size_t, std::size_t pi) {
+      msgbuf_[at++] = stage1_[pi].real();
+    });
+    comm_.send(r, tag, msgbuf_.data(), n * sizeof(double));
+    moved += n;
   }
-  if (g.participates(me)) {
-    for (int r = 0; r < nprocs; ++r) {
-      if (r == me ||
-          block_elems(regions_[static_cast<std::size_t>(r)], me) == 0) {
-        continue;
-      }
-      const std::size_t n = pack_or_self(r, /*self=*/false);
-      comm_.send(r, tag, msgbuf_.data(), n * sizeof(double));
-      moved += n;
-    }
-  }
-  if (!reg.empty()) {
-    for (int q = 0; q < nprocs; ++q) {
-      if (q == me) continue;
-      const std::size_t n = block_elems(reg, q);
-      if (n == 0) continue;
-      if (msgbuf_.size() < n) msgbuf_.resize(n);
-      comm_.recv(q, tag, msgbuf_.data(), n * sizeof(double));
-      moved += unpack_from(q);
-    }
+  for (int q = 0; q < nprocs; ++q) {
+    const PlaneBlock blk = plane_block(reg, g, q);
+    const std::size_t n = blk.size();
+    if (q == me || n == 0) continue;
+    msgbuf_.resize(std::max(msgbuf_.size(), n));
+    comm_.recv(q, tag, msgbuf_.data(), n * sizeof(double));
+    std::size_t at = 0;
+    blk.for_each([&](std::size_t ri, std::size_t) {
+      region_[ri] = msgbuf_[at++];
+    });
+    moved += n;
   }
   charge(static_cast<double>(moved));
 }

@@ -23,6 +23,7 @@
 #include "fft/parallel_fft.hpp"
 #include "md/box.hpp"
 #include "md/topology.hpp"
+#include "util/kernel.hpp"
 #include "util/vec3.hpp"
 
 namespace repro::pme {
@@ -69,10 +70,9 @@ class SerialPme {
  public:
   // The simd kernel variant batches the B-spline weight recurrence across
   // atoms (bspline_weights_batch), spreads/interpolates through a real
-  // staging grid with contiguous z-tap inner loops, and runs the
-  // table-combine FFT. Every lane executes the scalar arithmetic in the
-  // same order, so both variants produce bit-identical results — the
-  // switch only changes wall-clock.
+  // staging grid with contiguous z-tap inner loops. Every lane executes
+  // the scalar arithmetic in the same order, so both variants produce
+  // bit-identical results — the switch only changes wall-clock.
   SerialPme(const PmeParams& params, const md::Box& box,
             util::KernelKind kind = util::default_kernel_kind());
 
@@ -126,6 +126,54 @@ struct GridRegion {
 std::size_t wrapped_overlap(std::size_t start, std::size_t count,
                             std::size_t n, std::size_t b, std::size_t e);
 
+// A run of consecutive region-local indices [local, local+len) whose
+// wrapped planes are [plane, plane+len).
+struct PlaneRun {
+  std::size_t local = 0, plane = 0, len = 0;
+};
+
+// The block of one region that lands on one stage-1 pencil: the region's
+// whole x extent times its y and z member runs (at most two each, since a
+// wrapped interval no longer than its dimension crosses the seam at most
+// once). for_each() visits the block's points in region-local (x, y, z)
+// order — the order every plane-exchange message is packed in — calling
+// f(region_index, stage1_index) with indices into the region's
+// [cx][cy][cz] buffer and the pencil owner's [ly1][lz1][nx] stage-1
+// buffer. Host work is proportional to the block, not the region.
+struct PlaneBlock {
+  std::size_t x0 = 0, cx = 0, cy = 0, cz = 0, nx = 0;  // region x / strides
+  std::size_t yb = 0, zb = 0, lz1 = 0;  // owner's stage-1 origin, z extent
+  PlaneRun y[2], z[2];
+  int ny_runs = 0, nz_runs = 0;
+
+  std::size_t size() const;
+
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t xl = 0; xl < cx; ++xl) {
+      const std::size_t x = x0 + xl < nx ? x0 + xl : x0 + xl - nx;
+      for (int a = 0; a < ny_runs; ++a) {
+        for (std::size_t k = 0; k < y[a].len; ++k) {
+          const std::size_t row = xl * cy + y[a].local + k;
+          const std::size_t prow = y[a].plane + k - yb;
+          for (int b = 0; b < nz_runs; ++b) {
+            const std::size_t ri = row * cz + z[b].local;
+            const std::size_t pi = (prow * lz1 + z[b].plane - zb) * nx + x;
+            for (std::size_t i = 0; i < z[b].len; ++i) f(ri + i, pi + i * nx);
+          }
+        }
+      }
+    }
+  }
+};
+
+// The block of `reg` that pencil-grid rank q owns at stage 1 (empty when
+// the region is empty or q holds no pencil). Its size() equals
+// reg.cx * wrapped_overlap(y) * wrapped_overlap(z), the count the
+// predictor charges.
+PlaneBlock plane_block(const GridRegion& reg, const fft::PencilGrid& g,
+                       int q);
+
 // Pencil-parallel PME: the charge grid is distributed over a Py x Pz
 // pencil process grid (fft::PencilGrid) and the spatial decomposition
 // feeds it locally instead of replicating positions:
@@ -147,14 +195,9 @@ class PencilPme {
   // `regions[r]` is rank r's spread/interpolation region (empty for
   // cell-less ranks); every rank passes the same vector. `py * pz` ranks
   // participate in the FFT; the rest only ship their region blocks.
-  // `kind` selects the FFT kernel variant (the grid-local spread and
-  // interpolation loops are already region-local short stencils; the simd
-  // factor's FFT combine tables are where the pencil path spends its
-  // vectorizable time). Bit-identical either way.
   PencilPme(const PmeParams& params, const md::Box& box, mpi::Comm& comm,
             int py, int pz, std::vector<GridRegion> regions,
-            std::function<void(double flops)> charge_compute = {},
-            util::KernelKind kind = util::default_kernel_kind());
+            std::function<void(double flops)> charge_compute = {});
 
   // Reciprocal sum for the owned atoms. Returns this rank's partial
   // energy (each wavevector is counted on exactly one stage-3 owner);
@@ -199,11 +242,9 @@ class PencilPme {
 class ParallelPme {
  public:
   // `charge_compute` converts flops to simulated time (may be empty).
-  // `kind` selects the FFT kernel variant, as in PencilPme.
   ParallelPme(const PmeParams& params, const md::Box& box,
               middleware::Middleware& mw,
-              std::function<void(double flops)> charge_compute = {},
-              util::KernelKind kind = util::default_kernel_kind());
+              std::function<void(double flops)> charge_compute = {});
 
   // Slab-parallel reciprocal sum. Returns this rank's *partial* energy;
   // forces accumulated are partial too — both become total after the

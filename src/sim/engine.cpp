@@ -92,6 +92,8 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      std::size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr,
+                                   std::size_t size);
 }
 #endif
 
@@ -604,6 +606,12 @@ void Engine::start_fiber(Rank& r) {
   // early-finishing ranks are reused by ranks that start later.
   r.stack = acquire_stack();
   r.asan_fake_stack = nullptr;
+#if defined(REPRO_ASAN_FIBERS)
+  // A fresh fiber has no live frames, but the range may still carry the
+  // redzone poison of frames an earlier fiber (or an earlier engine's
+  // mapping at the same address) abandoned by switching away for good.
+  __asan_unpoison_memory_region(r.stack.lo, r.stack.size);
+#endif
 #if defined(REPRO_FIBER_FAST_SWITCH)
   r.fiber_sp =
       make_fiber_sp(r.stack.lo, r.stack.size, &Engine::fiber_trampoline);

@@ -1,10 +1,13 @@
 #include "sysbuild/io.hpp"
 
+#include <array>
 #include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -24,6 +27,40 @@ std::string expect_section(std::istream& in, const std::string& name) {
                 "system file: expected section '" + name + "', got '" +
                     token + "'");
   return token;
+}
+
+// Reads one bonded-term section: its header, its count, then one term
+// per record. `read(in, term)` parses a record and returns its atom
+// indices. Reading stops at the first failed record (a declared count
+// larger than the file never spins), and a term whose indices fall
+// outside [0, natoms) or repeat is rejected, naming the section and term.
+template <typename Term, typename Read>
+void read_terms(std::istream& in, const std::string& section, int natoms,
+                std::vector<Term>& out, Read read) {
+  expect_section(in, section);
+  std::size_t count = 0;
+  in >> count;
+  REPRO_REQUIRE(!in.fail(), "system file: bad " + section + " count");
+  for (std::size_t t = 0; t < count; ++t) {
+    Term term;
+    const auto ids = read(in, term);
+    const auto where = [&] {
+      return "system file: section '" + section + "' term " +
+             std::to_string(t) + ": ";
+    };
+    REPRO_REQUIRE(!in.fail(), where() + "truncated or malformed");
+    for (std::size_t a = 0; a < ids.size(); ++a) {
+      REPRO_REQUIRE(ids[a] >= 0 && ids[a] < natoms,
+                    where() + "atom index " + std::to_string(ids[a]) +
+                        " outside [0, " + std::to_string(natoms) + ")");
+      for (std::size_t b = 0; b < a; ++b) {
+        REPRO_REQUIRE(ids[a] != ids[b], where() + "atom index " +
+                                            std::to_string(ids[a]) +
+                                            " repeated");
+      }
+    }
+    out.push_back(term);
+  }
 }
 
 }  // namespace
@@ -82,47 +119,54 @@ BuiltSystem read_system(std::istream& in) {
   expect_section(in, "box");
   double lx, ly, lz;
   in >> lx >> ly >> lz;
+  REPRO_REQUIRE(!in.fail(), "system file: bad box lengths");
   expect_section(in, "atoms");
   int natoms = 0;
   in >> natoms;
   REPRO_REQUIRE(in.good() && natoms > 0, "system file: bad atom count");
 
-  BuiltSystem sys(natoms, md::Box(lx, ly, lz), name);
-  sys.positions.resize(static_cast<std::size_t>(natoms));
+  // Atoms are read before the system is sized, so a declared count the
+  // file cannot back fails at the first missing record instead of
+  // allocating for it up front.
+  std::vector<md::AtomParams> atoms;
+  std::vector<util::Vec3> positions;
   for (int i = 0; i < natoms; ++i) {
-    md::AtomParams& a = sys.topo.atom(i);
-    util::Vec3& r = sys.positions[static_cast<std::size_t>(i)];
+    md::AtomParams a;
+    util::Vec3 r;
     in >> a.mass >> a.charge >> a.eps >> a.rmin_half >> r.x >> r.y >> r.z;
+    REPRO_REQUIRE(!in.fail(), "system file: section 'atoms' atom " +
+                                  std::to_string(i) +
+                                  ": truncated or malformed");
+    atoms.push_back(a);
+    positions.push_back(r);
   }
-  expect_section(in, "bonds");
-  std::size_t count = 0;
-  in >> count;
-  for (std::size_t t = 0; t < count; ++t) {
-    md::Bond b;
-    in >> b.i >> b.j >> b.kb >> b.b0;
-    sys.topo.bonds().push_back(b);
+  BuiltSystem sys(natoms, md::Box(lx, ly, lz), name);
+  for (int i = 0; i < natoms; ++i) {
+    sys.topo.atom(i) = atoms[static_cast<std::size_t>(i)];
   }
-  expect_section(in, "angles");
-  in >> count;
-  for (std::size_t t = 0; t < count; ++t) {
-    md::Angle a;
-    in >> a.i >> a.j >> a.k >> a.ktheta >> a.theta0 >> a.kub >> a.s0;
-    sys.topo.angles().push_back(a);
-  }
-  expect_section(in, "dihedrals");
-  in >> count;
-  for (std::size_t t = 0; t < count; ++t) {
-    md::Dihedral d;
-    in >> d.i >> d.j >> d.k >> d.l >> d.kchi >> d.n >> d.delta;
-    sys.topo.dihedrals().push_back(d);
-  }
-  expect_section(in, "impropers");
-  in >> count;
-  for (std::size_t t = 0; t < count; ++t) {
-    md::Improper im;
-    in >> im.i >> im.j >> im.k >> im.l >> im.kpsi >> im.psi0;
-    sys.topo.impropers().push_back(im);
-  }
+  sys.positions = std::move(positions);
+
+  read_terms(in, "bonds", natoms, sys.topo.bonds(),
+             [](std::istream& s, md::Bond& b) {
+               s >> b.i >> b.j >> b.kb >> b.b0;
+               return std::array{b.i, b.j};
+             });
+  read_terms(in, "angles", natoms, sys.topo.angles(),
+             [](std::istream& s, md::Angle& a) {
+               s >> a.i >> a.j >> a.k >> a.ktheta >> a.theta0 >> a.kub >>
+                   a.s0;
+               return std::array{a.i, a.j, a.k};
+             });
+  read_terms(in, "dihedrals", natoms, sys.topo.dihedrals(),
+             [](std::istream& s, md::Dihedral& d) {
+               s >> d.i >> d.j >> d.k >> d.l >> d.kchi >> d.n >> d.delta;
+               return std::array{d.i, d.j, d.k, d.l};
+             });
+  read_terms(in, "impropers", natoms, sys.topo.impropers(),
+             [](std::istream& s, md::Improper& im) {
+               s >> im.i >> im.j >> im.k >> im.l >> im.kpsi >> im.psi0;
+               return std::array{im.i, im.j, im.k, im.l};
+             });
   expect_section(in, "end");
   REPRO_REQUIRE(!in.fail(), "system file: truncated or malformed");
   sys.topo.build_exclusions();

@@ -1,8 +1,9 @@
-// Kernel-variant selection: every physics hot path (nonbonded pair loop,
-// B-spline spread/interpolate, FFT butterflies) ships a scalar reference
-// implementation and an explicitly vectorized variant. The scalar path is
-// the bit-identical golden reference; the simd path is pinned by
-// tolerance-based invariance tests (tests/kernel_variant_test.cpp).
+// Kernel-variant selection: the nonbonded pair loop and the B-spline
+// spread/interpolate each ship a scalar reference implementation and an
+// explicitly vectorized variant (the FFT has a single combine path). The
+// scalar path is the bit-identical golden reference; the simd path is
+// pinned by tolerance-based invariance tests
+// (tests/kernel_variant_test.cpp).
 //
 // Selection is a runtime swept factor (--kernel=scalar|simd on the CLI,
 // REPRO_KERNEL in the environment), mirroring the engine-backend factor in

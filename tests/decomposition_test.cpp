@@ -6,6 +6,7 @@
 // counts exact against channel counters).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "charmm/decomp_spec.hpp"
@@ -13,6 +14,7 @@
 #include "charmm/spatial.hpp"
 #include "core/experiment.hpp"
 #include "core/model.hpp"
+#include "md/neighbor.hpp"
 #include "net/topology.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
@@ -384,6 +386,64 @@ TEST(SpatialDecompositionTest, MigratesAtomsAcrossARebuild) {
               std::abs(ref.energy.potential()) * 1e-6 + 1e-4);
   EXPECT_NEAR(par.position_checksum, ref.position_checksum,
               std::abs(ref.position_checksum) * 1e-9);
+}
+
+TEST(SpatialDecompositionTest, SubsetListsUnionToTheFullList) {
+  // Every rank builds its pair list from its owned + ghost atoms with its
+  // owned atoms as the row mask. Owned sets partition the atoms, so the
+  // per-rank rows together must be build()'s CSR arrays exactly —
+  // including at p=128, where ranks beyond the 72 cells own nothing.
+  const auto& sys = system_fixture();
+  const CharmmConfig config = short_config(DecompKind::kSpatial);
+  const auto natoms = static_cast<std::size_t>(sys.topo.natoms());
+  md::NeighborList full(config.cutoff, config.skin);
+  full.build(sys.topo, sys.box, sys.positions);
+  for (int p : {2, 8, 27, 128}) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    const SpatialLayout layout =
+        make_spatial_layout(config.decomp, sys.box, config.cutoff + config.skin,
+                            p, &sys.positions);
+    const SpatialEpoch epoch = make_global_epoch(layout, sys.positions);
+    std::vector<std::vector<int>> rows(natoms);
+    int idle = 0;
+    for (int r = 0; r < p; ++r) {
+      const auto& owned = epoch.owned[static_cast<std::size_t>(r)];
+      idle += owned.empty() ? 1 : 0;
+      std::vector<std::uint8_t> mask(natoms, 0);
+      for (int i : owned) mask[static_cast<std::size_t>(i)] = 1;
+      std::vector<int> candidates = owned;
+      for (int s : layout.rank_neighbors[static_cast<std::size_t>(r)]) {
+        const auto& back = layout.rank_neighbors[static_cast<std::size_t>(s)];
+        const auto at = std::lower_bound(back.begin(), back.end(), r);
+        const auto& ghosts = epoch.send[static_cast<std::size_t>(s)]
+                                       [static_cast<std::size_t>(
+                                           at - back.begin())];
+        candidates.insert(candidates.end(), ghosts.begin(), ghosts.end());
+      }
+      md::NeighborList sub(config.cutoff, config.skin);
+      sub.build_subset(sys.topo, sys.box, sys.positions, candidates, mask);
+      for (std::size_t i = 0; i < natoms; ++i) {
+        const auto b = sub.neighbors().begin() +
+                       static_cast<std::ptrdiff_t>(sub.offsets()[i]);
+        const auto e = sub.neighbors().begin() +
+                       static_cast<std::ptrdiff_t>(sub.offsets()[i + 1]);
+        if (!mask[i]) {
+          EXPECT_EQ(b, e) << "unmasked row " << i << " on rank " << r;
+          continue;
+        }
+        rows[i].assign(b, e);
+      }
+    }
+    EXPECT_EQ(idle > 0, p > layout.ncells());
+    std::vector<std::size_t> offsets(natoms + 1, 0);
+    std::vector<int> neighbors;
+    for (std::size_t i = 0; i < natoms; ++i) {
+      neighbors.insert(neighbors.end(), rows[i].begin(), rows[i].end());
+      offsets[i + 1] = neighbors.size();
+    }
+    EXPECT_EQ(offsets, full.offsets());
+    EXPECT_EQ(neighbors, full.neighbors());
+  }
 }
 
 // --- pencil-decomposed PME -------------------------------------------------

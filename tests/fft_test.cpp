@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numbers>
 #include <vector>
 
@@ -38,6 +41,187 @@ std::vector<Complex> naive_dft(const std::vector<Complex>& x) {
   }
   return out;
 }
+
+// --- recursive oracle -------------------------------------------------------
+//
+// The recursive Cooley-Tukey form Fft1D's table-driven combine replaced,
+// kept here as its bit-exact reference: the same radix order, root
+// twiddle table (with exact conjugates for the inverse), per-radix
+// exponent counters, and a zero-initialised std::complex accumulator that
+// sums the radix terms in ascending j. Bluestein sizes run the same
+// chirp-z wrapper over this recursion.
+class RecursiveFft {
+ public:
+  explicit RecursiveFft(std::size_t n) : n_(n) {
+    if (n == 1) return;
+    std::size_t rest = n;
+    for (std::size_t radix : {8, 4, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}) {
+      while (rest % radix == 0) {
+        factors_.push_back(radix);
+        rest /= radix;
+      }
+      if (rest == 1) break;
+    }
+    if (rest != 1) {
+      factors_.clear();
+      init_bluestein();
+      return;
+    }
+    tw_.resize(n);
+    tw_conj_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                           static_cast<double>(n);
+      tw_[k] = Complex(std::cos(angle), std::sin(angle));
+      tw_conj_[k] = std::conj(tw_[k]);
+    }
+  }
+
+  void forward(Complex* data) const { transform(data, +1); }
+  void inverse(Complex* data) const {
+    transform(data, -1);
+    const double scale = 1.0 / static_cast<double>(n_);
+    for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
+  }
+
+ private:
+  void init_bluestein() {
+    m_ = 1;
+    while (m_ < 2 * n_ - 1) m_ <<= 1;
+    helper_ = std::make_unique<RecursiveFft>(m_);
+    chirp_.resize(n_);
+    for (std::size_t k = 0; k < n_; ++k) {
+      const auto k2 = static_cast<double>((k * k) % (2 * n_));
+      const double angle = std::numbers::pi * k2 / static_cast<double>(n_);
+      chirp_[k] = Complex(std::cos(angle), -std::sin(angle));
+    }
+    b_fwd_.assign(m_, Complex(0, 0));
+    b_inv_.assign(m_, Complex(0, 0));
+    for (std::size_t k = 0; k < n_; ++k) {
+      b_fwd_[k] = std::conj(chirp_[k]);
+      b_inv_[k] = chirp_[k];
+      if (k > 0) {
+        b_fwd_[m_ - k] = std::conj(chirp_[k]);
+        b_inv_[m_ - k] = chirp_[k];
+      }
+    }
+    helper_->forward(b_fwd_.data());
+    helper_->forward(b_inv_.data());
+  }
+
+  void transform(Complex* data, int sign) const {
+    if (n_ == 1) return;
+    if (helper_) {
+      std::vector<Complex> a(m_, Complex(0, 0));
+      for (std::size_t k = 0; k < n_; ++k) {
+        a[k] = data[k] * (sign > 0 ? chirp_[k] : std::conj(chirp_[k]));
+      }
+      helper_->forward(a.data());
+      const auto& b = sign > 0 ? b_fwd_ : b_inv_;
+      for (std::size_t i = 0; i < m_; ++i) a[i] *= b[i];
+      helper_->inverse(a.data());
+      for (std::size_t k = 0; k < n_; ++k) {
+        data[k] = a[k] * (sign > 0 ? chirp_[k] : std::conj(chirp_[k]));
+      }
+      return;
+    }
+    std::vector<Complex> out(n_), scratch(n_);
+    rec(n_, 1, data, out.data(), scratch.data(), sign);
+    std::copy(out.begin(), out.end(), data);
+  }
+
+  void rec(std::size_t n, std::size_t stride, const Complex* in, Complex* out,
+           Complex* scratch, int sign) const {
+    std::size_t r = 0;
+    for (std::size_t f : factors_) {
+      if (n % f == 0) {
+        r = f;
+        break;
+      }
+    }
+    const std::size_t m = n / r;
+    if (m == 1) {
+      for (std::size_t j = 0; j < r; ++j) scratch[j] = in[j * stride];
+    } else {
+      for (std::size_t j = 0; j < r; ++j) {
+        rec(m, stride * r, in + j * stride, scratch + j * m, out + j * m,
+            sign);
+      }
+    }
+    const std::size_t tw_step = n_ / n;
+    const Complex* tw = sign < 0 ? tw_conj_.data() : tw_.data();
+    std::size_t tvals[32] = {};
+    std::size_t k2 = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      Complex acc(0, 0);
+      for (std::size_t j = 0; j < r; ++j) {
+        acc += tw[tvals[j] * tw_step] * scratch[j * m + k2];
+        tvals[j] += j;
+        if (tvals[j] >= n) tvals[j] -= n;
+      }
+      out[k] = acc;
+      if (++k2 == m) k2 = 0;
+    }
+  }
+
+  std::size_t n_;
+  std::vector<std::size_t> factors_;
+  std::vector<Complex> tw_, tw_conj_;
+  std::size_t m_ = 0;
+  std::unique_ptr<RecursiveFft> helper_;
+  std::vector<Complex> chirp_, b_fwd_, b_inv_;
+};
+
+// Byte-for-byte comparison: the plan must reproduce the oracle's doubles
+// exactly, signed zeros included.
+bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+void expect_matches_oracle(std::size_t n, const std::vector<Complex>& x) {
+  const Fft1D plan(n);
+  const RecursiveFft oracle(n);
+  auto got = x;
+  auto want = x;
+  plan.forward(got.data());
+  oracle.forward(want.data());
+  EXPECT_TRUE(same_bytes(got, want)) << "forward n=" << n;
+  plan.inverse(got.data());
+  oracle.inverse(want.data());
+  EXPECT_TRUE(same_bytes(got, want)) << "inverse n=" << n;
+}
+
+std::vector<std::size_t> oracle_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 64; ++n) sizes.push_back(n);
+  for (std::size_t n : {80, 36, 48, 37, 97, 101}) sizes.push_back(n);
+  return sizes;
+}
+
+class Fft1DOracleTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(Fft1DOracleTest, BitIdenticalToRecursiveOracle) {
+  const std::size_t n = GetParam();
+  expect_matches_oracle(n, random_signal(n, 7 + n));
+}
+
+// Inputs of signed zeros (all -0.0, and a sparse mix with ones): the
+// combine's zero-initialised accumulation must reproduce the oracle's
+// zero signs too.
+TEST_P(Fft1DOracleTest, SignedZerosMatchOracle) {
+  const std::size_t n = GetParam();
+  expect_matches_oracle(n, std::vector<Complex>(n, Complex(-0.0, -0.0)));
+  std::vector<Complex> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double z = (i % 2 == 0) ? 0.0 : -0.0;
+    x[i] = i % 5 == 1 ? Complex(1.0, -0.0) : Complex(-z, z);
+  }
+  expect_matches_oracle(n, x);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, Fft1DOracleTest,
+                         ::testing::ValuesIn(oracle_sizes()));
 
 class Fft1DTest : public ::testing::TestWithParam<std::size_t> {};
 

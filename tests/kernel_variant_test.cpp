@@ -6,20 +6,18 @@
 //    reports identical work counters, and is deterministic across reruns;
 //  - batched B-spline weights are bit-identical per lane and keep the
 //    partition of unity;
-//  - the table-combine FFT and the simd SerialPme are bit-identical to
-//    their scalar forms (the design claim in fft.hpp / pme.hpp);
+//  - the simd SerialPme is bit-identical to its scalar form (the design
+//    claim in pme.hpp; the FFT's single combine path is pinned against
+//    its recursive oracle in fft_test);
 //  - every decomposition x processor count produces (near-)identical
 //    physics and *exactly* identical simulated time under either variant.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 #include <cstdlib>
-#include <numbers>
 
 #include "charmm/simulation.hpp"
 #include "core/experiment.hpp"
-#include "fft/fft.hpp"
 #include "md/neighbor.hpp"
 #include "md/nonbonded.hpp"
 #include "perf/power.hpp"
@@ -368,91 +366,6 @@ TEST(BsplineBatchTest, PartitionOfUnity) {
       EXPECT_NEAR(vsum, 1.0, 1e-12);  // weights spread the whole charge
       EXPECT_NEAR(dsum, 0.0, 1e-12);  // translating the grid changes nothing
     }
-  }
-}
-
-// --- FFT variants ----------------------------------------------------------
-
-std::vector<fft::Complex> random_signal(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<fft::Complex> x(n);
-  for (auto& v : x) v = {rng.uniform() - 0.5, rng.uniform() - 0.5};
-  return x;
-}
-
-std::vector<fft::Complex> naive_dft(const std::vector<fft::Complex>& x) {
-  const std::size_t n = x.size();
-  std::vector<fft::Complex> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    fft::Complex acc{0.0, 0.0};
-    for (std::size_t j = 0; j < n; ++j) {
-      const double ang = -2.0 * std::numbers::pi *
-                         static_cast<double>(j * k % n) /
-                         static_cast<double>(n);
-      acc += x[j] * fft::Complex{std::cos(ang), std::sin(ang)};
-    }
-    out[k] = acc;
-  }
-  return out;
-}
-
-class FftKernelTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FftKernelTest, SimdIsBitIdenticalToScalar) {
-  const std::size_t n = GetParam();
-  const fft::Fft1D scalar(n, KernelKind::kScalar);
-  const fft::Fft1D simd(n, KernelKind::kSimd);
-  EXPECT_EQ(simd.kernel(), KernelKind::kSimd);
-  auto a = random_signal(n, 7 + n);
-  auto b = a;
-  scalar.forward(a.data());
-  simd.forward(b.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real()) << "n " << n << " bin " << i;
-    EXPECT_EQ(a[i].imag(), b[i].imag()) << "n " << n << " bin " << i;
-  }
-  scalar.inverse(a.data());
-  simd.inverse(b.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real()) << "n " << n << " bin " << i;
-    EXPECT_EQ(a[i].imag(), b[i].imag()) << "n " << n << " bin " << i;
-  }
-}
-
-TEST_P(FftKernelTest, SimdMatchesNaiveDft) {
-  const std::size_t n = GetParam();
-  const fft::Fft1D simd(n, KernelKind::kSimd);
-  const auto x = random_signal(n, 11 + n);
-  const auto ref = naive_dft(x);
-  auto y = x;
-  simd.forward(y.data());
-  double scale = 0.0;
-  for (const auto& v : ref) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(y[i].real(), ref[i].real(), 1e-12 * std::max(scale, 1.0));
-    EXPECT_NEAR(y[i].imag(), ref[i].imag(), 1e-12 * std::max(scale, 1.0));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, FftKernelTest,
-                         ::testing::Values(8, 36, 48, 60, 80, 97, 128));
-
-TEST(FftKernelTest, Fft3DSimdIsBitIdenticalToScalar) {
-  const fft::Fft3D scalar(20, 12, 16, KernelKind::kScalar);
-  const fft::Fft3D simd(20, 12, 16, KernelKind::kSimd);
-  auto a = random_signal(scalar.volume(), 17);
-  auto b = a;
-  scalar.forward(a.data());
-  simd.forward(b.data());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real());
-    EXPECT_EQ(a[i].imag(), b[i].imag());
-  }
-  scalar.inverse(a.data());
-  simd.inverse(b.data());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real());
-    EXPECT_EQ(a[i].imag(), b[i].imag());
   }
 }
 

@@ -344,5 +344,108 @@ TEST(PencilPmePropertyTest, OddGridMatchesSerial) {
   run_pencil_pme_case(params, 2, 3, 6, 76);
 }
 
+
+// --- plane-exchange geometry ------------------------------------------------
+
+// A region dimension: a random wrapped interval, sometimes the whole
+// dimension (from plane 0, as make_pme_regions builds it, or from a
+// random start), sometimes forced to cross the seam.
+void random_extent(util::Rng& rng, std::size_t n, std::size_t& start,
+                   std::size_t& count) {
+  switch (rng.uniform_index(4)) {
+    case 0:  // whole dimension
+      start = rng.uniform_index(2) == 0 ? 0 : rng.uniform_index(n);
+      count = n;
+      break;
+    case 1:  // wrapped: start + count > n whenever n > 1
+      start = n - 1 - rng.uniform_index(std::max<std::size_t>(n / 2, 1));
+      count = std::min(n, n - start + 1 + rng.uniform_index(n));
+      break;
+    default:
+      start = rng.uniform_index(n);
+      count = 1 + rng.uniform_index(n);
+  }
+}
+
+// plane_block splits a rank's spread region over the stage-1 pencils:
+// every region point must land in exactly one peer block, at its own
+// global grid point, visited in region-local order; and each block's size
+// must equal the predictor's wrapped_overlap product.
+TEST(PlaneBlockTest, PartitionsRandomRegionsAcrossPencils) {
+  util::Rng rng(4242);
+  int wrapped = 0;
+  int full = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t nx = 1 + rng.uniform_index(20);
+    const std::size_t ny = 1 + rng.uniform_index(16);
+    const std::size_t nz = 1 + rng.uniform_index(16);
+    const int py = 1 + static_cast<int>(rng.uniform_index(
+                           std::min<std::size_t>(ny, 5)));
+    const int pz = 1 + static_cast<int>(rng.uniform_index(
+                           std::min<std::size_t>(nz, 5)));
+    const PencilGrid g(nx, ny, nz, py, pz);
+    pme::GridRegion reg;
+    random_extent(rng, nx, reg.x0, reg.cx);
+    random_extent(rng, ny, reg.y0, reg.cy);
+    random_extent(rng, nz, reg.z0, reg.cz);
+    wrapped += reg.x0 + reg.cx > nx ? 1 : 0;
+    full += reg.cy == ny ? 1 : 0;
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << " grid " << nx << "x" << ny << "x"
+                 << nz << " pencils " << py << "x" << pz << " region x "
+                 << reg.x0 << "+" << reg.cx << " y " << reg.y0 << "+"
+                 << reg.cy << " z " << reg.z0 << "+" << reg.cz);
+
+    std::vector<int> hits(reg.cx * reg.cy * reg.cz, 0);
+    for (int q = 0; q < py * pz; ++q) {
+      const int yc = g.ycoord(q);
+      const int zc = g.zcoord(q);
+      const pme::PlaneBlock blk = pme::plane_block(reg, g, q);
+      EXPECT_EQ(blk.size(),
+                reg.cx *
+                    pme::wrapped_overlap(reg.y0, reg.cy, ny,
+                                         g.ypart.begin(yc), g.ypart.end(yc)) *
+                    pme::wrapped_overlap(reg.z0, reg.cz, nz,
+                                         g.zpart.begin(zc), g.zpart.end(zc)));
+      const std::size_t lz1 = g.zpart.count(zc);
+      std::size_t visits = 0;
+      std::size_t last = 0;
+      bool bad = false;
+      blk.for_each([&](std::size_t ri, std::size_t pi) {
+        if (ri >= hits.size() || pi >= g.stage1_size(q) ||
+            (visits > 0 && ri <= last)) {
+          bad = true;
+          return;
+        }
+        ++hits[ri];
+        last = ri;
+        ++visits;
+        const std::size_t xl = ri / (reg.cy * reg.cz);
+        const std::size_t yl = ri / reg.cz % reg.cy;
+        const std::size_t zl = ri % reg.cz;
+        const std::size_t x = pi % nx;
+        const std::size_t y = g.ypart.begin(yc) + pi / nx / lz1;
+        const std::size_t z = g.zpart.begin(zc) + pi / nx % lz1;
+        if (x != (reg.x0 + xl) % nx || y != (reg.y0 + yl) % ny ||
+            z != (reg.z0 + zl) % nz) {
+          bad = true;
+        }
+      });
+      EXPECT_FALSE(bad) << "pencil " << q;
+      EXPECT_EQ(visits, blk.size()) << "pencil " << q;
+    }
+    for (std::size_t ri = 0; ri < hits.size(); ++ri) {
+      ASSERT_EQ(hits[ri], 1) << "region point " << ri;
+    }
+    // Ranks past the pencil grid and empty regions own no blocks.
+    EXPECT_EQ(pme::plane_block(reg, g, py * pz).size(), 0u);
+    pme::GridRegion empty = reg;
+    empty.cz = 0;
+    EXPECT_EQ(pme::plane_block(empty, g, 0).size(), 0u);
+  }
+  EXPECT_GT(wrapped, 50);
+  EXPECT_GT(full, 50);
+}
+
 }  // namespace
 }  // namespace repro::fft

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <numbers>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "md/neighbor.hpp"
 #include "sysbuild/builder.hpp"
+#include "sysbuild/io.hpp"
+#include "util/error.hpp"
 
 namespace repro::sysbuild {
 namespace {
@@ -154,6 +161,100 @@ TEST(TestChainTest, HasAllBondedTermTypes) {
   EXPECT_EQ(sys.topo.angles().size(), 8u);
   EXPECT_EQ(sys.topo.dihedrals().size(), 7u);
   EXPECT_EQ(sys.topo.impropers().size(), 1u);
+}
+
+
+// --- .rsys loading: malformed files fail loudly ------------------------------
+
+// A valid system file for a 10-atom chain, as lines.
+std::vector<std::string> chain_file_lines() {
+  std::stringstream out;
+  write_system(out, build_test_chain(10, 2));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(out, line);) lines.push_back(line);
+  return lines;
+}
+
+std::size_t line_of(const std::vector<std::string>& lines,
+                    const std::string& prefix) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind(prefix, 0) == 0) return i;
+  }
+  ADD_FAILURE() << "no line starting with " << prefix;
+  return 0;
+}
+
+// Writes `lines` to a temporary .rsys file, loads it, and returns the
+// loader's error message ("" when it loads).
+std::string load_error(const std::vector<std::string>& lines) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "repro_sysbuild_test.rsys")
+          .string();
+  {
+    std::ofstream f(path);
+    for (const auto& line : lines) f << line << "\n";
+  }
+  std::string message;
+  try {
+    load_system(path);
+  } catch (const util::Error& e) {
+    message = e.what();
+  }
+  std::filesystem::remove(path);
+  return message;
+}
+
+TEST(SystemLoadTest, ValidFileLoads) {
+  EXPECT_EQ(load_error(chain_file_lines()), "");
+}
+
+TEST(SystemLoadTest, HugeDeclaredCountStopsAtFirstMissingTerm) {
+  // Formerly spun through four billion failed reads.
+  auto lines = chain_file_lines();
+  lines[line_of(lines, "bonds ")] = "bonds 4000000000";
+  const std::string message = load_error(lines);
+  EXPECT_NE(message.find("section 'bonds' term 9"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("truncated or malformed"), std::string::npos);
+
+  lines = chain_file_lines();
+  lines[line_of(lines, "atoms ")] = "atoms 2000000000";
+  EXPECT_NE(load_error(lines).find("section 'atoms' atom 10"),
+            std::string::npos);
+}
+
+TEST(SystemLoadTest, RejectsOutOfRangeTermIndices) {
+  // Formerly loaded, then segfaulted in the bonded kernels.
+  auto lines = chain_file_lines();
+  const std::size_t bond0 = line_of(lines, "bonds ") + 1;
+  lines[bond0] = "0 4000 300 1.5";
+  std::string message = load_error(lines);
+  EXPECT_NE(message.find("section 'bonds' term 0"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("atom index 4000 outside [0, 10)"),
+            std::string::npos)
+      << message;
+
+  lines = chain_file_lines();
+  lines[line_of(lines, "angles ") + 2] = "-1 1 2 50 1.9 0 0";
+  message = load_error(lines);
+  EXPECT_NE(message.find("section 'angles' term 1"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("atom index -1 outside"), std::string::npos);
+}
+
+TEST(SystemLoadTest, RejectsRepeatedAtomsWithinATerm) {
+  auto lines = chain_file_lines();
+  lines[line_of(lines, "dihedrals ") + 1] = "0 1 2 1 0.2 3 0";
+  std::string message = load_error(lines);
+  EXPECT_NE(message.find("section 'dihedrals' term 0"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("atom index 1 repeated"), std::string::npos);
+
+  lines = chain_file_lines();
+  lines[line_of(lines, "impropers ") + 1] = "3 3 4 5 10 0";
+  EXPECT_NE(load_error(lines).find("section 'impropers' term 0"),
+            std::string::npos);
 }
 
 }  // namespace
