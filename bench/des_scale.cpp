@@ -35,6 +35,7 @@
 #include "net/topology.hpp"
 #include "perf/recorder.hpp"
 #include "sim/engine.hpp"
+#include "util/parse.hpp"
 
 using namespace repro;
 
@@ -189,9 +190,10 @@ int main(int argc, char** argv) {
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = std::atoi(arg.c_str() + 8);
-      if (steps < 1) {
-        std::fprintf(stderr, "bad --steps value: %s\n", arg.c_str());
+      try {
+        steps = util::parse_int(arg.substr(8), "--steps");
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 2;
       }
     } else if (arg.rfind("--json=", 0) == 0) {

@@ -18,6 +18,7 @@
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace repro::bench {
@@ -48,28 +49,22 @@ inline BenchOptions& options() {
 inline void parse_figure_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--steps=", 0) == 0) {
-      options().steps = std::atoi(arg.c_str() + 8);
-      if (options().steps < 1) {
-        std::fprintf(stderr, "bad --steps value: %s\n", arg.c_str());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options().jobs = std::atoi(arg.c_str() + 7);
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      try {
+    try {
+      if (arg.rfind("--steps=", 0) == 0) {
+        options().steps = util::parse_int(arg.substr(8), "--steps");
+      } else if (arg.rfind("--jobs=", 0) == 0) {
+        options().jobs = util::parse_int(arg.substr(7), "--jobs");
+      } else if (arg.rfind("--engine=", 0) == 0) {
         options().engine = sim::parse_engine_backend(arg.c_str() + 9);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
+      } else if (arg == "--smoke") {
+        options().smoke = true;
+      } else {
+        throw util::Error("unknown option: " + arg +
+                          " (supported: --steps=N --jobs=N "
+                          "--engine=fiber|thread --smoke)");
       }
-    } else if (arg == "--smoke") {
-      options().smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "unknown option: %s (supported: --steps=N --jobs=N "
-                   "--engine=fiber|thread --smoke)\n",
-                   arg.c_str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       std::exit(2);
     }
   }
@@ -92,7 +87,12 @@ inline const sysbuild::BuiltSystem& prepared_system() {
 inline int default_jobs() {
   if (options().jobs >= 0) return options().jobs;
   if (const char* env = std::getenv("REPRO_JOBS")) {
-    return std::atoi(env);
+    try {
+      return util::parse_int(env, "REPRO_JOBS");
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
   }
   return 0;
 }

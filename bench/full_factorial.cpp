@@ -30,7 +30,7 @@ std::vector<int> parse_int_list(const std::string& s) {
   while (pos < s.size()) {
     std::size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::stoi(s.substr(pos, comma - pos)));
+    out.push_back(util::parse_int(s.substr(pos, comma - pos), "--procs"));
     pos = comma + 1;
   }
   return out;
@@ -44,23 +44,28 @@ int main(int argc, char** argv) {
   charmm::CharmmConfig config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::stoi(arg.substr(7));
-    } else if (arg.rfind("--steps=", 0) == 0) {
-      config.nsteps = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--procs=", 0) == 0) {
-      procs = parse_int_list(arg.substr(8));
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      // run_full_factorial builds its specs internally with the
-      // process-wide default, so the flag flows through the environment.
-      const sim::EngineBackend backend =
-          sim::parse_engine_backend(arg.substr(9));
-      setenv("REPRO_ENGINE", sim::to_string(backend), 1);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs=N] [--steps=N] [--procs=A,B,...] "
-                   "[--engine=fiber|thread]\n",
-                   argv[0]);
+    try {
+      if (arg.rfind("--jobs=", 0) == 0) {
+        jobs = util::parse_int(arg.substr(7), "--jobs");
+      } else if (arg.rfind("--steps=", 0) == 0) {
+        config.nsteps = util::parse_int(arg.substr(8), "--steps");
+      } else if (arg.rfind("--procs=", 0) == 0) {
+        procs = parse_int_list(arg.substr(8));
+      } else if (arg.rfind("--engine=", 0) == 0) {
+        // run_full_factorial builds its specs internally with the
+        // process-wide default, so the flag flows through the environment.
+        const sim::EngineBackend backend =
+            sim::parse_engine_backend(arg.substr(9));
+        setenv("REPRO_ENGINE", sim::to_string(backend), 1);
+      } else {
+        std::fprintf(stderr,
+                     "usage: %s [--jobs=N] [--steps=N] [--procs=A,B,...] "
+                     "[--engine=fiber|thread]\n",
+                     argv[0]);
+        return 2;
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
   }

@@ -12,6 +12,9 @@
 //
 // `run` and `sweep` build+relax the paper's system when --system is not
 // given. `predict` uses the closed-form LogGP model (no simulation).
+// An unknown option, a stray argument or a malformed value exits 1 with an
+// error naming the flag, before any system is built.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -29,6 +32,7 @@
 #include "sysbuild/builder.hpp"
 #include "sysbuild/io.hpp"
 #include "util/kernel.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace repro;
@@ -44,9 +48,21 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  int get_int(const std::string& key, int fallback) const {
+  int get_int(const std::string& key, int fallback, int min_value = 1) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atoi(it->second.c_str());
+    return it == options.end()
+               ? fallback
+               : util::parse_int(it->second, "--" + key, min_value);
+  }
+  // Rejects any option the command does not take, so a typo such as
+  // --proccs fails instead of silently running the default.
+  void allow_only(const std::vector<std::string>& keys) const {
+    for (const auto& [key, value] : options) {
+      if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+        throw util::Error("unknown option --" + key + " for '" + command +
+                          "'");
+      }
+    }
   }
 };
 
@@ -55,7 +71,9 @@ Args parse(int argc, char** argv) {
   if (argc > 1) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
+    if (key.rfind("--", 0) != 0) {
+      throw util::Error("unexpected argument '" + key + "'");
+    }
     key = key.substr(2);
     // Both --key value and --key=value are accepted.
     const std::size_t eq = key.find('=');
@@ -72,11 +90,29 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
-net::Network parse_network(const std::string& name) {
+net::Network parse_network(const Args& args) {
+  const std::string name = args.get("network", "tcp");
+  if (name == "tcp") return net::Network::kTcpGigE;
   if (name == "score") return net::Network::kScoreGigE;
   if (name == "myrinet") return net::Network::kMyrinetGM;
   if (name == "faste") return net::Network::kTcpFastEthernet;
-  return net::Network::kTcpGigE;
+  throw util::Error("--network: unknown network '" + name +
+                    "' (expected tcp|score|myrinet|faste)");
+}
+
+middleware::Kind parse_middleware(const Args& args) {
+  const std::string name = args.get("middleware", "mpi");
+  if (name == "mpi") return middleware::Kind::kMpi;
+  if (name == "cmpi") return middleware::Kind::kCmpi;
+  throw util::Error("--middleware: unknown middleware '" + name +
+                    "' (expected mpi|cmpi)");
+}
+
+bool parse_pme(const Args& args) {
+  const std::string value = args.get("pme", "on");
+  if (value == "on") return true;
+  if (value == "off") return false;
+  throw util::Error("--pme: expected on|off, got '" + value + "'");
 }
 
 sysbuild::BuiltSystem obtain_system(const Args& args) {
@@ -84,10 +120,12 @@ sysbuild::BuiltSystem obtain_system(const Args& args) {
     std::printf("loading %s...\n", args.get("system", "").c_str());
     return sysbuild::load_system(args.get("system", ""));
   }
+  const int seed = args.get_int("seed", 2002, 0);
+  const int relax = args.get_int("relax", 80, 0);
   std::printf("building + relaxing the paper's 3552-atom system...\n");
-  sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like(
-      static_cast<std::uint64_t>(args.get_int("seed", 2002)));
-  charmm::relax_system(sys, args.get_int("relax", 80));
+  sysbuild::BuiltSystem sys =
+      sysbuild::build_myoglobin_like(static_cast<std::uint64_t>(seed));
+  charmm::relax_system(sys, relax);
   return sys;
 }
 
@@ -138,11 +176,12 @@ void print_result(const core::ExperimentResult& r,
 }
 
 int cmd_build_system(const Args& args) {
+  args.allow_only({"seed", "relax", "out", "pdb"});
+  const int relax = args.get_int("relax", 80, 0);
   sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like(
-      static_cast<std::uint64_t>(args.get_int("seed", 2002)));
-  if (args.get_int("relax", 80) > 0) {
-    const md::MinimizeResult res =
-        charmm::relax_system(sys, args.get_int("relax", 80));
+      static_cast<std::uint64_t>(args.get_int("seed", 2002, 0)));
+  if (relax > 0) {
+    const md::MinimizeResult res = charmm::relax_system(sys, relax);
     std::printf("relaxed: E %.1f -> %.1f kcal/mol\n", res.initial_energy,
                 res.final_energy);
   }
@@ -157,16 +196,17 @@ int cmd_build_system(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
-  const sysbuild::BuiltSystem sys = obtain_system(args);
+  args.allow_only({"system", "seed", "relax", "procs", "network",
+                   "middleware", "cpus", "steps", "pme", "decomp", "kernel",
+                   "power", "engine", "faults", "topology", "timeline",
+                   "trace-out", "metrics-out"});
   core::ExperimentSpec spec;
-  spec.platform.network = parse_network(args.get("network", "tcp"));
-  spec.platform.middleware = args.get("middleware", "mpi") == "cmpi"
-                                 ? middleware::Kind::kCmpi
-                                 : middleware::Kind::kMpi;
+  spec.platform.network = parse_network(args);
+  spec.platform.middleware = parse_middleware(args);
   spec.platform.cpus_per_node = args.get_int("cpus", 1);
   spec.nprocs = args.get_int("procs", 8);
   spec.charmm.nsteps = args.get_int("steps", 10);
-  spec.charmm.use_pme = args.get("pme", "on") != "off";
+  spec.charmm.use_pme = parse_pme(args);
   spec.charmm.decomp = charmm::parse_decomp_spec(args.get("decomp", "atom"));
   if (args.has("kernel")) {
     spec.charmm.kernel = util::parse_kernel_kind(args.get("kernel", ""));
@@ -185,6 +225,7 @@ int cmd_run(const Args& args) {
   }
   // The Chrome trace needs the per-rank timelines recorded.
   spec.record_timelines = args.has("timeline") || args.has("trace-out");
+  const sysbuild::BuiltSystem sys = obtain_system(args);
   const core::ExperimentResult r = core::run_experiment(sys, spec);
   print_result(r, spec);
   if (args.has("timeline")) {
@@ -207,8 +248,8 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
-  const net::NetworkParams params =
-      net::params_for(parse_network(args.get("network", "tcp")));
+  args.allow_only({"system", "seed", "relax", "procs", "network", "decomp"});
+  const net::NetworkParams params = net::params_for(parse_network(args));
   const int procs = args.get_int("procs", 8);
   const charmm::DecompSpec decomp =
       charmm::parse_decomp_spec(args.get("decomp", "atom"));
@@ -252,12 +293,12 @@ int cmd_predict(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  const sysbuild::BuiltSystem sys = obtain_system(args);
+  args.allow_only({"system", "seed", "relax", "network", "middleware",
+                   "cpus", "decomp", "kernel", "power", "engine", "faults",
+                   "topology", "jobs"});
   core::ExperimentSpec base;
-  base.platform.network = parse_network(args.get("network", "tcp"));
-  base.platform.middleware = args.get("middleware", "mpi") == "cmpi"
-                                 ? middleware::Kind::kCmpi
-                                 : middleware::Kind::kMpi;
+  base.platform.network = parse_network(args);
+  base.platform.middleware = parse_middleware(args);
   base.platform.cpus_per_node = args.get_int("cpus", 1);
   base.charmm.decomp = charmm::parse_decomp_spec(args.get("decomp", "atom"));
   if (args.has("kernel")) {
@@ -284,7 +325,8 @@ int cmd_sweep(const Args& args) {
   }
   // --jobs=1 preserves the old sequential behaviour; the default (0) uses
   // one worker per hardware thread. Results are identical either way.
-  const core::SweepRunner runner(args.get_int("jobs", 0));
+  const core::SweepRunner runner(args.get_int("jobs", 0, 0));
+  const sysbuild::BuiltSystem sys = obtain_system(args);
   const auto outcomes = runner.run(
       sys, specs,
       [](std::size_t done, std::size_t total, const core::SweepOutcome& cell) {
@@ -367,16 +409,18 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  std::string command;
   try {
-    if (args.command == "build-system") return cmd_build_system(args);
-    if (args.command == "run") return cmd_run(args);
-    if (args.command == "predict") return cmd_predict(args);
-    if (args.command == "sweep") return cmd_sweep(args);
+    const Args args = parse(argc, argv);
+    command = args.command;
+    if (command == "build-system") return cmd_build_system(args);
+    if (command == "run") return cmd_run(args);
+    if (command == "predict") return cmd_predict(args);
+    if (command == "sweep") return cmd_sweep(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
   usage();
-  return args.command.empty() ? 0 : 1;
+  return command.empty() ? 0 : 1;
 }

@@ -109,8 +109,7 @@ md::MinimizeResult Simulation::minimize(const md::MinimizeOptions& opts) {
   auto evaluate = [this](const std::vector<util::Vec3>& p,
                          std::vector<util::Vec3>& f) {
     pos_ = p;
-    steps_since_rebuild_ = -1;  // positions jumped; force a rebuild
-    compute_forces();
+    compute_forces();  // rebuilds the list only once the skin is used up
     f = forces_;
     return energy_.potential();
   };

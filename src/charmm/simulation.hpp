@@ -69,7 +69,15 @@ class Simulation {
   // Velocity-Verlet MD steps (forces are kept consistent across calls).
   void step(int nsteps = 1);
 
-  // Steepest-descent relaxation of the current structure.
+  // Steepest-descent relaxation of the current structure. Energy
+  // evaluations reuse the neighbor list until some atom has moved more
+  // than skin/2 from where it was built (NeighborList::needs_rebuild), and
+  // the result is bit-identical to rebuilding on every evaluation: the
+  // skin guarantees every pair inside the cutoff is still listed, both
+  // pair kernels drop a pair with r^2 >= cutoff^2 before it touches any
+  // accumulator, and rows stay in ascending j, so the surviving pairs are
+  // summed in the same order. The list is rebuilt once more at the end,
+  // so MD after minimize() starts a fresh rebuild interval.
   md::MinimizeResult minimize(const md::MinimizeOptions& opts);
 
   void set_velocities_from_temperature(double temperature_k,

@@ -3,6 +3,18 @@
 // Pairs (i < j) within cutoff + skin, with excluded pairs removed, stored
 // in CSR form. The list is valid until some atom moves more than skin/2
 // from its position at build time.
+//
+// build() and build_subset() share one cell sweep (neighbor.cpp): bin the
+// atoms into cell-sorted coordinate arrays, run a branch-free distance
+// pass per home atom against its half stencil, drop excluded partners via
+// a per-home-atom stamp, then assemble the CSR with two stable counting
+// passes. The output is a pure function of the inputs: for finite
+// positions, offsets() and neighbors() hold exactly the non-excluded
+// pairs (i < j, ascending j within a row) whose Box::min_image distance
+// is below cutoff + skin (build_subset() restricts them as documented
+// there), byte for byte the same arrays however the sweep is organised.
+// Grids with fewer than 3 cells along a dimension fall back to one cell
+// holding every atom (all pairs tested).
 #pragma once
 
 #include <cstddef>
@@ -72,18 +84,14 @@ class NeighborList {
   const std::vector<int>* neighbors_view_ = &neighbors_;
   const std::vector<util::Vec3>* built_pos_view_ = &built_pos_;
 
-  // Persistent build scratch. build() is called every few steps on the
-  // hot path; keeping these as members means a rebuild allocates nothing
-  // once capacities have warmed up (contents are meaningless between
-  // calls). Pairs are collected flat and counting-sorted into the CSR
-  // arrays in a second pass — no per-atom vectors.
-  std::vector<int> atom_cell_;
-  std::vector<std::size_t> cell_start_;
-  std::vector<std::size_t> cell_cursor_;
-  std::vector<int> cell_atoms_;
-  std::vector<std::uint8_t> cell_has_row_;  // build_subset only
-  std::vector<std::pair<int, int>> pair_buf_;
-  std::vector<std::size_t> row_cursor_;
+  // The shared sweep: candidates == nullptr bins every atom, row_mask ==
+  // nullptr keeps every row. Its scratch is one thread-local set, not
+  // per-list members: a build never yields, so fibers sharing a thread
+  // cannot interleave inside it.
+  void sweep(const Topology& topo, const Box& box,
+             const std::vector<util::Vec3>& pos,
+             const std::vector<int>* candidates,
+             const std::vector<std::uint8_t>* row_mask);
 };
 
 }  // namespace repro::md

@@ -92,8 +92,11 @@ class Topology {
   // interactions. Valid after build_exclusions().
   bool excluded(int i, int j) const;
 
-  // Sorted exclusion partners of atom i (both directions).
+  // Sorted exclusion partners of atom i (both directions: j is listed
+  // for i exactly when i is listed for j). Valid after build_exclusions().
   const std::vector<int>& exclusions_of(int i) const {
+    REPRO_REQUIRE(!exclusions_.empty(),
+                  "call build_exclusions() before querying exclusions");
     return exclusions_[static_cast<std::size_t>(i)];
   }
 

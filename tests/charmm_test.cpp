@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "charmm/simulation.hpp"
 #include "core/experiment.hpp"
@@ -102,6 +104,64 @@ TEST(SequentialTest, MinimizerReducesEnergy) {
   opts.max_steps = 30;
   const md::MinimizeResult res = sim.minimize(opts);
   EXPECT_LE(res.final_energy, res.initial_energy);
+}
+
+// Simulation::minimize reuses its neighbor list until the skin is used
+// up. The reference drives md::minimize with a fresh Simulation (so a
+// fresh list) per evaluation; positions and energies must match bit for
+// bit. A probe list replays the skin criterion on the evaluated positions
+// to show which paths ran.
+TEST(SequentialTest, MinimizerListReuseIsExact) {
+  static const sysbuild::BuiltSystem water = sysbuild::build_water_box(3);
+  SimulationConfig config;
+  config.cutoff = 4.0;
+  config.switch_on = 3.2;
+  config.pme = pme::PmeParams{12, 12, 12, 4, 0.4};
+  md::MinimizeOptions defaults;
+  defaults.max_steps = 30;
+  // With 1 A steps and a 0.5 A skin the list goes stale within a few
+  // accepted steps, so a missed rebuild would drop pairs from the energy.
+  md::MinimizeOptions long_steps = defaults;
+  long_steps.initial_step = 1.0;
+  long_steps.max_step = 1.0;
+  for (const bool mid_run_rebuilds : {false, true}) {
+    const md::MinimizeOptions& opts = mid_run_rebuilds ? long_steps : defaults;
+    config.skin = mid_run_rebuilds ? 0.5 : 2.0;
+    SCOPED_TRACE(mid_run_rebuilds ? "mid-run rebuilds" : "list reuse");
+    Simulation sim(water, config);
+    const md::MinimizeResult got = sim.minimize(opts);
+
+    md::NeighborList probe(config.cutoff, config.skin);
+    int builds = 0;
+    int reuses = 0;
+    auto fresh = [&](const std::vector<util::Vec3>& p,
+                     std::vector<util::Vec3>& f) {
+      if (builds == 0 || probe.needs_rebuild(water.box, p)) {
+        probe.build(water.topo, water.box, p);
+        ++builds;
+      } else {
+        ++reuses;
+      }
+      sysbuild::BuiltSystem at = water;
+      at.positions = p;
+      Simulation once(at, config);
+      const double energy = once.evaluate().potential();
+      f = once.forces();
+      return energy;
+    };
+    std::vector<util::Vec3> pos = water.positions;
+    const md::MinimizeResult want = md::minimize(opts, fresh, pos);
+
+    EXPECT_EQ(got.steps, want.steps);
+    EXPECT_EQ(got.final_energy, want.final_energy);
+    EXPECT_EQ(got.initial_energy, want.initial_energy);
+    ASSERT_EQ(sim.positions().size(), pos.size());
+    EXPECT_EQ(std::memcmp(sim.positions().data(), pos.data(),
+                          pos.size() * sizeof(util::Vec3)),
+              0);
+    EXPECT_GE(reuses, 1);
+    if (mid_run_rebuilds) EXPECT_GE(builds, 2);
+  }
 }
 
 // --- configuration validation ------------------------------------------------

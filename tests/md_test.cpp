@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
-#include <set>
+#include <string>
 
 #include "md/bonded.hpp"
 #include "md/box.hpp"
@@ -232,11 +233,44 @@ TEST(BondedTest, ShardsPartitionTheWork) {
 
 // --- neighbor list -----------------------------------------------------------
 
+// The exact CSR a list must hold: pairs (i < j) inside `range` by
+// Box::min_image, excluded pairs dropped, only rows with row_mask set and
+// both atoms in `members`; rows in ascending j.
+struct Csr {
+  std::vector<std::size_t> offsets;
+  std::vector<int> neighbors;
+};
+
+Csr brute_force_csr(const Topology& topo, const Box& box,
+                    const std::vector<Vec3>& pos, double range,
+                    const std::vector<std::uint8_t>& members,
+                    const std::vector<std::uint8_t>& row_mask) {
+  const int n = topo.natoms();
+  Csr csr;
+  csr.offsets.push_back(0);
+  for (int i = 0; i < n; ++i) {
+    const auto si = static_cast<std::size_t>(i);
+    for (int j = i + 1; j < n && members[si] && row_mask[si]; ++j) {
+      const auto sj = static_cast<std::size_t>(j);
+      if (!members[sj] || topo.excluded(i, j)) continue;
+      if (util::norm2(box.min_image(pos[si] - pos[sj])) < range * range) {
+        csr.neighbors.push_back(j);
+      }
+    }
+    csr.offsets.push_back(csr.neighbors.size());
+  }
+  return csr;
+}
+
 TEST(NeighborListTest, MatchesBruteForce) {
   util::Rng rng(31);
   const int n = 200;
+  const auto un = static_cast<std::size_t>(n);
   Topology topo(n);
+  // With range 7 the grid is 3 x 4 x 5 cells: the x dimension sits at
+  // exactly the smallest count the half-stencil sweep accepts.
   Box box(24, 30, 36);
+  const double range = 6.0 + 1.0;
   std::vector<Vec3> pos;
   for (int i = 0; i < n; ++i) {
     topo.atom(i) = AtomParams{12.0, 0.0, 0.1, 2.0};
@@ -252,27 +286,61 @@ TEST(NeighborListTest, MatchesBruteForce) {
   }
   topo.build_exclusions();
 
-  NeighborList nbl(6.0, 1.0);
-  nbl.build(topo, box, pos);
+  // The same atoms seen through different images: whole-box shifts per
+  // atom, one fractional shift of everything, negative coordinates, and
+  // signed zeros.
+  std::vector<std::vector<Vec3>> variants{pos};
+  std::vector<Vec3> shifted = pos;
+  for (std::size_t i = 0; i < un; ++i) {
+    shifted[i] += Vec3{box.lx() * static_cast<double>(i % 3),
+                       -box.ly() * static_cast<double>(i % 2),
+                       box.lz() * (static_cast<double>(i % 5) - 2.0)};
+  }
+  variants.push_back(shifted);
+  std::vector<Vec3> fractional = pos;
+  for (Vec3& r : fractional) {
+    r += Vec3{0.37 * box.lx(), -0.61 * box.ly(), -1.25 * box.lz()};
+  }
+  variants.push_back(fractional);
+  std::vector<Vec3> zeros = pos;
+  zeros[3] = Vec3{-0.0, 0.0, -0.0};
+  zeros[4] = Vec3{0.0, -0.0, 0.0};
+  zeros[5].x = -0.0;
+  variants.push_back(zeros);
 
-  std::set<std::pair<int, int>> listed;
-  for (int i = 0; i < n; ++i) {
-    for (std::size_t t = nbl.offsets()[static_cast<std::size_t>(i)];
-         t < nbl.offsets()[static_cast<std::size_t>(i) + 1]; ++t) {
-      listed.insert({i, nbl.neighbors()[t]});
+  const std::vector<std::uint8_t> all(un, 1);
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE("position variant " + std::to_string(v));
+    NeighborList nbl(6.0, 1.0);
+    nbl.build(topo, box, variants[v]);
+    const Csr want = brute_force_csr(topo, box, variants[v], range, all, all);
+    EXPECT_EQ(nbl.offsets(), want.offsets);
+    EXPECT_EQ(nbl.neighbors(), want.neighbors);
+
+    // build_subset: random candidates in shuffled order and a random row
+    // mask (some masked rows are not candidates at all).
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<int> candidates;
+      std::vector<std::uint8_t> members(un, 0), mask(un, 0);
+      for (int i = 0; i < n; ++i) {
+        const auto si = static_cast<std::size_t>(i);
+        if (rng.uniform() < 0.7) {
+          candidates.push_back(i);
+          members[si] = 1;
+        }
+        mask[si] = rng.uniform() < 0.4 ? 1 : 0;
+      }
+      for (std::size_t k = candidates.size(); k > 1; --k) {
+        std::swap(candidates[k - 1], candidates[rng.uniform_index(k)]);
+      }
+      NeighborList sub(6.0, 1.0);
+      sub.build_subset(topo, box, variants[v], candidates, mask);
+      const Csr want_sub =
+          brute_force_csr(topo, box, variants[v], range, members, mask);
+      EXPECT_EQ(sub.offsets(), want_sub.offsets);
+      EXPECT_EQ(sub.neighbors(), want_sub.neighbors);
     }
   }
-  std::set<std::pair<int, int>> brute;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (topo.excluded(i, j)) continue;
-      const double r2 = util::norm2(
-          box.min_image(pos[static_cast<std::size_t>(i)] -
-                        pos[static_cast<std::size_t>(j)]));
-      if (r2 < 49.0) brute.insert({i, j});
-    }
-  }
-  EXPECT_EQ(listed, brute);
 }
 
 TEST(NeighborListTest, RebuildTrigger) {
