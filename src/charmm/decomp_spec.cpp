@@ -3,33 +3,9 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace repro::charmm {
-
-namespace {
-
-// Strict positive-integer parse (same discipline as the engine's
-// REPRO_FIBER_STACK_KB parser): std::atoi accepts trailing garbage,
-// silently returns 0 for pure garbage, and overflows on long digit
-// strings — every one of those must fail loudly here instead.
-int parse_positive_int(const std::string& value, const std::string& what,
-                       const std::string& text) {
-  long v = 0;
-  std::size_t i = 0;
-  for (; i < value.size(); ++i) {
-    if (value[i] < '0' || value[i] > '9') break;
-    v = v * 10 + (value[i] - '0');
-    REPRO_REQUIRE(v <= 1000000000L,
-                  what + " is out of range in decomposition spec: " + text);
-  }
-  REPRO_REQUIRE(i == value.size() && !value.empty(),
-                "bad " + what + " in decomposition spec (expected a "
-                "positive integer): " + text);
-  REPRO_REQUIRE(v >= 1, what + " must be at least 1: " + text);
-  return static_cast<int>(v);
-}
-
-}  // namespace
 
 const char* to_string(DecompKind kind) {
   switch (kind) {
@@ -87,6 +63,7 @@ std::string to_string(const DecompSpec& spec) {
 
 DecompSpec parse_decomp_spec(const std::string& text) {
   DecompSpec spec;
+  const std::string in_spec = "decomposition spec '" + text + "': ";
   if (text.empty() || text == "atom" || text == "replicated") {
     return spec;
   }
@@ -101,7 +78,7 @@ DecompSpec parse_decomp_spec(const std::string& text) {
     REPRO_REQUIRE(opt.rfind("pme=", 0) == 0,
                   "bad decomposition option '" + opt +
                       "' (expected task:pme=N): " + text);
-    spec.pme_ranks = parse_positive_int(opt.substr(4), "PME rank count", text);
+    spec.pme_ranks = util::parse_int(opt.substr(4), in_spec + "PME rank count");
     return spec;
   }
   if (text == "spatial" || text.rfind("spatial:", 0) == 0) {
@@ -160,7 +137,7 @@ DecompSpec parse_decomp_spec(const std::string& text) {
           REPRO_REQUIRE(spec.ldb != LdbPolicy::kOff,
                         "units= is meaningless with ldb=off: " + text);
           spec.units =
-              parse_positive_int(rest.substr(6), "work-unit count", text);
+              util::parse_int(rest.substr(6), in_spec + "work-unit count");
         }
         continue;
       }
@@ -177,10 +154,9 @@ DecompSpec parse_decomp_spec(const std::string& text) {
                           dims.find('x', x1 + 1) == std::string::npos,
                       "bad pencil grid (expected pme=pencil:grid=PyxPz): " +
                           text);
-        spec.pencil_y = parse_positive_int(dims.substr(0, x1),
-                                           "pencil grid dimension", text);
-        spec.pencil_z = parse_positive_int(dims.substr(x1 + 1),
-                                           "pencil grid dimension", text);
+        const std::string what = in_spec + "pencil grid dimension";
+        spec.pencil_y = util::parse_int(dims.substr(0, x1), what);
+        spec.pencil_z = util::parse_int(dims.substr(x1 + 1), what);
       } else {
         REPRO_REQUIRE(spec.grid_x == 0,
                       "duplicate cell grid in decomposition spec: " + text);
@@ -190,12 +166,10 @@ DecompSpec parse_decomp_spec(const std::string& text) {
                           dims.find('x', x2 + 1) == std::string::npos,
                       "bad spatial grid (expected spatial:grid=AxBxC): " +
                           text);
-        spec.grid_x = parse_positive_int(dims.substr(0, x1),
-                                         "spatial grid dimension", text);
-        spec.grid_y = parse_positive_int(dims.substr(x1 + 1, x2 - x1 - 1),
-                                         "spatial grid dimension", text);
-        spec.grid_z = parse_positive_int(dims.substr(x2 + 1),
-                                         "spatial grid dimension", text);
+        const std::string what = in_spec + "spatial grid dimension";
+        spec.grid_x = util::parse_int(dims.substr(0, x1), what);
+        spec.grid_y = util::parse_int(dims.substr(x1 + 1, x2 - x1 - 1), what);
+        spec.grid_z = util::parse_int(dims.substr(x2 + 1), what);
       }
     }
     return spec;

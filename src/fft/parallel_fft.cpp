@@ -1,15 +1,11 @@
 #include "fft/parallel_fft.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdlib>
+#include <array>
 #include <cstring>
-#include <deque>
-#include <memory>
-#include <mutex>
 
 #include "util/error.hpp"
-#include "util/hash.hpp"
+#include "util/memo.hpp"
 
 namespace repro::fft {
 
@@ -20,85 +16,16 @@ namespace {
 // A factorial sweep re-runs the same deterministic trajectory for every
 // network/middleware cell, so each rank's slab holds bit-identical data
 // across those cells and the local FFT stages recompute identical
-// results. The two pure stages of forward()/backward() (before and after
-// the transpose) are memoized on their exact input bytes; the transpose
-// itself and every charge() call still run, so simulated time, bytes and
-// traffic are untouched — only redundant host-side arithmetic is skipped.
-// A hit requires the full input slab to match byte-for-byte (the hash is
-// a pre-filter), so outputs are the exact arrays the computation would
-// have produced. Disable with REPRO_FFT_MEMO=0.
-struct StageEntry {
-  int stage;  // which of the four pure stages (see StageId)
-  std::size_t nx, ny, nz;
-  std::size_t count;  // input element count (slab-size, rank-dependent)
-  std::uint64_t hash;
-  std::vector<Complex> in;
-  std::vector<Complex> out;
-};
+// results. The four pure stages of forward()/backward() (on either side
+// of the transposes) are memoized on their exact input bytes (util/memo.hpp);
+// the transposes and every charge() call still run, so simulated
+// time, bytes and traffic are untouched: only redundant host-side
+// arithmetic is skipped.
+static_assert(sizeof(Complex) == 2 * sizeof(double));  // padding-free key
 
-enum StageId : int {
-  kForwardYZ = 0,  // forward: per-plane (y,z) 2-D FFTs on the x-slab
-  kForwardX = 1,   // forward: x-direction FFTs on the z-slab
-  kBackwardX = 2,  // backward: inverse x FFTs on the z-slab
-  kBackwardYZ = 3, // backward: per-plane inverse (y,z) FFTs on the x-slab
-};
-
-constexpr std::size_t kStageMemoCap = 1024;  // FIFO; bounds worst-case RAM
-
-std::mutex stage_memo_mu;  // SweepRunner workers transform concurrently
-
-std::deque<std::shared_ptr<const StageEntry>>& stage_memo() {
-  static std::deque<std::shared_ptr<const StageEntry>> memo;
+util::ExactMemo<std::vector<Complex>>& stage_memo() {
+  static util::ExactMemo<std::vector<Complex>> memo(1024);  // bounds RAM
   return memo;
-}
-
-bool stage_memo_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("REPRO_FFT_MEMO");
-    return env == nullptr || env[0] != '0';
-  }();
-  return on;
-}
-
-std::uint64_t hash_complex(const Complex* data, std::size_t count) {
-  return util::fnv1a_bytes(data, count * sizeof(Complex));
-}
-
-std::shared_ptr<const StageEntry> stage_lookup(int stage, std::size_t nx,
-                                               std::size_t ny, std::size_t nz,
-                                               const Complex* in,
-                                               std::size_t count,
-                                               std::uint64_t hash) {
-  if (count == 0) return nullptr;  // empty slabs are never cached
-  std::lock_guard<std::mutex> lock(stage_memo_mu);
-  for (const auto& e : stage_memo()) {
-    if (e->stage == stage && e->nx == nx && e->ny == ny && e->nz == nz &&
-        e->count == count && e->hash == hash &&
-        std::memcmp(e->in.data(), in, count * sizeof(Complex)) == 0) {
-      return e;
-    }
-  }
-  return nullptr;
-}
-
-void stage_insert(int stage, std::size_t nx, std::size_t ny, std::size_t nz,
-                  const Complex* in, std::size_t count, std::uint64_t hash,
-                  const Complex* out) {
-  // An empty slab (rank owns no planes) has a null data pointer and nothing
-  // worth caching; skipping keeps memcmp/memcpy away from null entirely.
-  if (count == 0) return;
-  auto entry = std::make_shared<StageEntry>();
-  entry->stage = stage;
-  entry->nx = nx;
-  entry->ny = ny;
-  entry->nz = nz;
-  entry->count = count;
-  entry->hash = hash;
-  entry->in.assign(in, in + count);
-  entry->out.assign(out, out + count);
-  std::lock_guard<std::mutex> lock(stage_memo_mu);
-  if (stage_memo().size() >= kStageMemoCap) stage_memo().pop_front();
-  stage_memo().push_back(std::move(entry));
 }
 
 }  // namespace
@@ -246,26 +173,42 @@ void ParallelFft3D::transpose_zx(const Complex* zslab, Complex* xslab) {
   }
 }
 
+void ParallelFft3D::run_stage(StageId stage, const Complex* in, Complex* out,
+                              std::size_t count,
+                              const std::function<void(Complex*)>& kernel) {
+  // An empty slab (rank owns no planes) has nothing worth caching, and a
+  // null data pointer.
+  if (count == 0) return;
+  const std::array<std::size_t, 4> tag{static_cast<std::size_t>(stage), nx_,
+                                       ny_, nz_};
+  if (const auto hit = stage_memo().find(
+          {util::key_bytes(tag), util::key_bytes(in, count)})) {
+    std::memcpy(out, hit->data(), count * sizeof(Complex));
+    return;
+  }
+  // The kernel overwrites `out`: when that is the input, key the new entry
+  // on a copy taken before it runs.
+  std::vector<Complex> saved;
+  if (in == out) {
+    saved.assign(in, in + count);
+    in = saved.data();
+  } else {
+    std::memcpy(out, in, count * sizeof(Complex));
+  }
+  kernel(out);
+  stage_memo().insert({util::key_bytes(tag), util::key_bytes(in, count)},
+                      std::vector<Complex>(out, out + count));
+}
+
 void ParallelFft3D::forward(const Complex* xslab, Complex* zslab) {
   const std::size_t lx = local_x_count();
-  const std::size_t xn = x_slab_size();
-  const bool memo = stage_memo_enabled();
-  // Local 2-D transforms over (y, z) for each owned x-plane; work on a copy
-  // so the caller's real-space slab stays intact.
-  std::vector<Complex> work;
-  std::uint64_t h = 0;
-  std::shared_ptr<const StageEntry> hit;
-  if (memo) {
-    h = hash_complex(xslab, xn);
-    hit = stage_lookup(kForwardYZ, nx_, ny_, nz_, xslab, xn, h);
-  }
-  if (hit) {
-    work = hit->out;
-  } else {
-    work.assign(xslab, xslab + xn);
+  // Local 2-D transforms over (y, z) for each owned x-plane, into a work
+  // buffer so the caller's real-space slab stays intact.
+  std::vector<Complex> work(x_slab_size());
+  run_stage(kForwardYZ, xslab, work.data(), work.size(), [&](Complex* slab) {
     std::vector<Complex> pencil(ny_);
     for (std::size_t x = 0; x < lx; ++x) {
-      Complex* plane = work.data() + x * ny_ * nz_;
+      Complex* plane = slab + x * ny_ * nz_;
       for (std::size_t y = 0; y < ny_; ++y) fz_.forward(plane + y * nz_);
       for (std::size_t z = 0; z < nz_; ++z) {
         for (std::size_t y = 0; y < ny_; ++y) pencil[y] = plane[y * nz_ + z];
@@ -273,10 +216,7 @@ void ParallelFft3D::forward(const Complex* xslab, Complex* zslab) {
         for (std::size_t y = 0; y < ny_; ++y) plane[y * nz_ + z] = pencil[y];
       }
     }
-    if (memo) {
-      stage_insert(kForwardYZ, nx_, ny_, nz_, xslab, xn, h, work.data());
-    }
-  }
+  });
   charge(static_cast<double>(lx) *
          (static_cast<double>(ny_) * fz_.flops() +
           static_cast<double>(nz_) * fy_.flops()));
@@ -285,72 +225,35 @@ void ParallelFft3D::forward(const Complex* xslab, Complex* zslab) {
 
   // Finish with x-direction transforms (x is contiguous in the z-slab).
   const std::size_t lz = local_z_count();
-  const std::size_t zn = z_slab_size();
-  hit.reset();
-  if (memo) {
-    h = hash_complex(zslab, zn);
-    hit = stage_lookup(kForwardX, nx_, ny_, nz_, zslab, zn, h);
-  }
-  if (hit) {
-    std::memcpy(zslab, hit->out.data(), zn * sizeof(Complex));
-  } else {
-    std::vector<Complex> pre;
-    if (memo) pre.assign(zslab, zslab + zn);
+  run_stage(kForwardX, zslab, zslab, z_slab_size(), [&](Complex* slab) {
     for (std::size_t zl = 0; zl < lz; ++zl) {
       for (std::size_t y = 0; y < ny_; ++y) {
-        fx_.forward(zslab + (zl * ny_ + y) * nx_);
+        fx_.forward(slab + (zl * ny_ + y) * nx_);
       }
     }
-    if (memo) {
-      stage_insert(kForwardX, nx_, ny_, nz_, pre.data(), zn, h, zslab);
-    }
-  }
+  });
   charge(static_cast<double>(lz * ny_) * fx_.flops());
 }
 
 void ParallelFft3D::backward(const Complex* zslab, Complex* xslab) {
   const std::size_t lz = local_z_count();
-  const std::size_t zn = z_slab_size();
-  const bool memo = stage_memo_enabled();
-  std::vector<Complex> work;
-  std::uint64_t h = 0;
-  std::shared_ptr<const StageEntry> hit;
-  if (memo) {
-    h = hash_complex(zslab, zn);
-    hit = stage_lookup(kBackwardX, nx_, ny_, nz_, zslab, zn, h);
-  }
-  if (hit) {
-    work = hit->out;
-  } else {
-    work.assign(zslab, zslab + zn);
+  std::vector<Complex> work(z_slab_size());
+  run_stage(kBackwardX, zslab, work.data(), work.size(), [&](Complex* slab) {
     for (std::size_t zl = 0; zl < lz; ++zl) {
       for (std::size_t y = 0; y < ny_; ++y) {
-        fx_.inverse(work.data() + (zl * ny_ + y) * nx_);
+        fx_.inverse(slab + (zl * ny_ + y) * nx_);
       }
     }
-    if (memo) {
-      stage_insert(kBackwardX, nx_, ny_, nz_, zslab, zn, h, work.data());
-    }
-  }
+  });
   charge(static_cast<double>(lz * ny_) * fx_.flops());
 
   transpose_zx(work.data(), xslab);
 
   const std::size_t lx = local_x_count();
-  const std::size_t xn = x_slab_size();
-  hit.reset();
-  if (memo) {
-    h = hash_complex(xslab, xn);
-    hit = stage_lookup(kBackwardYZ, nx_, ny_, nz_, xslab, xn, h);
-  }
-  if (hit) {
-    std::memcpy(xslab, hit->out.data(), xn * sizeof(Complex));
-  } else {
-    std::vector<Complex> pre;
-    if (memo) pre.assign(xslab, xslab + xn);
+  run_stage(kBackwardYZ, xslab, xslab, x_slab_size(), [&](Complex* slab) {
     std::vector<Complex> pencil(ny_);
     for (std::size_t x = 0; x < lx; ++x) {
-      Complex* plane = xslab + x * ny_ * nz_;
+      Complex* plane = slab + x * ny_ * nz_;
       for (std::size_t z = 0; z < nz_; ++z) {
         for (std::size_t y = 0; y < ny_; ++y) pencil[y] = plane[y * nz_ + z];
         fy_.inverse(pencil.data());
@@ -358,10 +261,7 @@ void ParallelFft3D::backward(const Complex* zslab, Complex* xslab) {
       }
       for (std::size_t y = 0; y < ny_; ++y) fz_.inverse(plane + y * nz_);
     }
-    if (memo) {
-      stage_insert(kBackwardYZ, nx_, ny_, nz_, pre.data(), xn, h, xslab);
-    }
-  }
+  });
   charge(static_cast<double>(lx) *
          (static_cast<double>(ny_) * fz_.flops() +
           static_cast<double>(nz_) * fy_.flops()));

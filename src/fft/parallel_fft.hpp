@@ -67,6 +67,20 @@ class ParallelFft3D {
   void charge(double flops) const {
     if (charge_) charge_(flops);
   }
+  // The four pure local stages of forward()/backward(), memoized on their
+  // exact input bytes (parallel_fft.cpp).
+  enum StageId : int {
+    kForwardYZ = 0,   // forward: per-plane (y,z) 2-D FFTs on the x-slab
+    kForwardX = 1,    // forward: x-direction FFTs on the z-slab
+    kBackwardX = 2,   // backward: inverse x FFTs on the z-slab
+    kBackwardYZ = 3,  // backward: per-plane inverse (y,z) FFTs on the x-slab
+  };
+  // Writes `kernel` applied in place to a copy of the `count` elements at
+  // `in` into `out` (which may be `in`), or the stored result for the same
+  // stage and input bytes.
+  void run_stage(StageId stage, const Complex* in, Complex* out,
+                 std::size_t count,
+                 const std::function<void(Complex*)>& kernel);
   // Packs my x-slab into per-destination blocks ordered (z, y, x) and
   // exchanges; unpacks into the z-slab layout. `forward` direction.
   void transpose_xz(const Complex* xslab, Complex* zslab);

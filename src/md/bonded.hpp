@@ -39,8 +39,7 @@ BondedWork bonded_energy(const Topology& topo, const Box& box,
 // atom (b.i / a.i / d.i / im.i) has owned_mask set, so disjoint ownership
 // masks partition the term set across ranks. Positions of every partner
 // atom of an owned term must be valid (owned or ghost); forces may land on
-// ghost rows and are shipped home by the caller's force halo. No
-// memoization — each rank's mask and halo state is unique.
+// ghost rows and are shipped home by the caller's force halo.
 BondedWork bonded_energy_owned(const Topology& topo, const Box& box,
                                const std::vector<util::Vec3>& pos,
                                const std::vector<std::uint8_t>& owned_mask,

@@ -1,15 +1,12 @@
 #include "md/neighbor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <memory>
-#include <mutex>
+#include <utility>
 
-#include "util/hash.hpp"
+#include "util/memo.hpp"
 
 namespace repro::md {
 
@@ -70,50 +67,25 @@ SweepScratch& sweep_scratch() {
 //
 // The replicated-data decomposition has every simulated rank build the
 // same list from the same coordinates, and a factorial sweep replays the
-// same deterministic trajectory for every network/middleware cell — so
-// almost every build() call in a sweep repeats an earlier one exactly. A
-// small process-wide cache keyed by the full build inputs returns the
-// stored CSR arrays instead of recomputing them. A hit requires the
-// positions, box lengths, radii, and exclusion list to match
-// byte-for-byte (the hash is only a cheap pre-filter), so the returned
-// arrays are the exact arrays the plain build would have produced.
-// Disable with REPRO_NBL_CACHE=0.
-struct BuildCacheEntry {
-  double cutoff;
-  double skin;
-  util::Vec3 box_len;
-  std::uint64_t pos_hash;
+// same deterministic trajectory for every network/middleware cell, so
+// almost every build() call in a sweep repeats an earlier one exactly.
+// An ExactMemo keyed by the full build inputs (radii, box lengths,
+// positions, exclusion list) returns the stored CSR arrays, which are the
+// exact arrays the sweep would have produced.
+struct BuiltList {
   std::vector<util::Vec3> pos;
-  std::vector<std::pair<int, int>> exclusions;
   std::vector<std::size_t> offsets;
   std::vector<int> neighbors;
 };
 
-constexpr std::size_t kBuildCacheCap = 12;  // FIFO; a 10-step run rebuilds
-                                            // far fewer than 12 times
+// Key element types must be padding-free (util/memo.hpp).
+static_assert(sizeof(util::Vec3) == 3 * sizeof(double));
+static_assert(sizeof(std::pair<int, int>) == 2 * sizeof(int));
 
-std::mutex build_cache_mu;  // SweepRunner workers build concurrently
-
-std::deque<std::shared_ptr<const BuildCacheEntry>>& build_cache() {
-  static std::deque<std::shared_ptr<const BuildCacheEntry>> cache;
-  return cache;
-}
-
-bool build_cache_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("REPRO_NBL_CACHE");
-    return env == nullptr || env[0] != '0';
-  }();
-  return on;
-}
-
-// Bitwise equality (stricter than operator== for doubles: distinguishes
-// -0.0 from 0.0 and never equates NaNs away — misses stay conservative).
-template <typename T>
-bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
-  if (a.size() != b.size()) return false;
-  if (a.empty()) return true;  // data() may be null; memcmp on null is UB
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+util::ExactMemo<BuiltList>& build_memo() {
+  // FIFO; a 10-step run rebuilds far fewer than 12 times.
+  static util::ExactMemo<BuiltList> memo(12);
+  return memo;
 }
 
 }  // namespace
@@ -122,45 +94,23 @@ void NeighborList::build(const Topology& topo, const Box& box,
                          const std::vector<util::Vec3>& pos) {
   REPRO_REQUIRE(static_cast<int>(pos.size()) == topo.natoms(),
                 "position array size mismatch");
-  const std::vector<std::pair<int, int>>& excl = topo.excluded_pairs();
-  std::uint64_t pos_hash = 0;
-  if (build_cache_enabled()) {
-    pos_hash = pos.empty() ? 0
-                           : util::fnv1a_bytes(
-                                 pos.data(), pos.size() * sizeof(util::Vec3));
-    std::lock_guard<std::mutex> lock(build_cache_mu);
-    for (const auto& e : build_cache()) {
-      if (e->cutoff == cutoff_ && e->skin == skin_ &&
-          e->pos_hash == pos_hash && e->box_len == box.lengths() &&
-          same_bytes(e->pos, pos) && same_bytes(e->exclusions, excl)) {
-        // Borrow the entry's arrays (they are immutable and pinned by the
-        // keepalive) rather than copying megabytes of CSR data per hit.
-        offsets_view_ = &e->offsets;
-        neighbors_view_ = &e->neighbors;
-        built_pos_view_ = &e->pos;
-        built_box_ = box;
-        cache_keepalive_ = e;
-        return;
-      }
-    }
+  const std::array<double, 5> radii_box{cutoff_, skin_, box.lx(), box.ly(),
+                                        box.lz()};
+  const util::MemoKey key{util::key_bytes(radii_box), util::key_bytes(pos),
+                          util::key_bytes(topo.excluded_pairs())};
+  if (auto hit = build_memo().find(key)) {
+    // Borrow the entry's arrays (they are immutable and pinned by the
+    // keepalive) rather than copying megabytes of CSR data per hit.
+    offsets_view_ = &hit->offsets;
+    neighbors_view_ = &hit->neighbors;
+    built_pos_view_ = &hit->pos;
+    built_box_ = box;
+    cache_keepalive_ = std::move(hit);
+    return;
   }
 
   sweep(topo, box, pos, nullptr, nullptr);
-
-  if (build_cache_enabled()) {
-    auto entry = std::make_shared<BuildCacheEntry>();
-    entry->cutoff = cutoff_;
-    entry->skin = skin_;
-    entry->box_len = box.lengths();
-    entry->pos_hash = pos_hash;
-    entry->pos = pos;
-    entry->exclusions = excl;
-    entry->offsets = offsets_;
-    entry->neighbors = neighbors_;
-    std::lock_guard<std::mutex> lock(build_cache_mu);
-    if (build_cache().size() >= kBuildCacheCap) build_cache().pop_front();
-    build_cache().push_back(std::move(entry));
-  }
+  build_memo().insert(key, BuiltList{pos, offsets_, neighbors_});
 }
 
 void NeighborList::build_subset(const Topology& topo, const Box& box,

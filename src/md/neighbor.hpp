@@ -44,7 +44,7 @@ class NeighborList {
   // pair set when every candidate list covers the mask's range
   // neighborhood. Entries of `pos` outside `candidates` are never read.
   // Offsets still span all natoms rows (non-candidate rows are empty), so
-  // the nonbonded kernels run unchanged. Bypasses the build cache: the
+  // the nonbonded kernels run unchanged. Bypasses the build memo: the
   // inputs are rank-local, never shared.
   void build_subset(const Topology& topo, const Box& box,
                     const std::vector<util::Vec3>& pos,
@@ -63,7 +63,7 @@ class NeighborList {
   double cutoff() const { return cutoff_; }
   double skin() const { return skin_; }
 
-  // The views may point into a shared build-cache entry (see build()'s
+  // The views may point into a shared build-memo entry (see build()'s
   // memoization in neighbor.cpp), so copying a list would alias or dangle.
   NeighborList(const NeighborList&) = delete;
   NeighborList& operator=(const NeighborList&) = delete;
@@ -76,7 +76,7 @@ class NeighborList {
   std::vector<util::Vec3> built_pos_;
   Box built_box_;
 
-  // After a cache hit the list borrows the entry's arrays instead of
+  // After a memo hit the list borrows the entry's arrays instead of
   // copying ~MBs of CSR data; the keepalive pins the entry while views
   // point at it. After a fresh build the views point at the members above.
   std::shared_ptr<const void> cache_keepalive_;

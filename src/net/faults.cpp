@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace repro::net {
 
@@ -221,25 +222,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-double parse_double(const std::string& text, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(text, &used);
-    REPRO_REQUIRE(used == text.size(), "trailing garbage");
-    return v;
-  } catch (const std::exception&) {
-    throw util::Error("fault spec: bad number for " + what + ": '" + text +
-                      "'");
-  }
-}
-
-int parse_int(const std::string& text, const std::string& what) {
-  const double v = parse_double(text, what);
-  REPRO_REQUIRE(v == std::floor(v), "fault spec: " + what +
-                                        " must be an integer: '" + text + "'");
-  return static_cast<int>(v);
-}
-
 // "key=value" -> {key, value}; a bare word parses as {word, ""}.
 std::pair<std::string, std::string> key_value(const std::string& token) {
   const std::size_t eq = token.find('=');
@@ -267,14 +249,15 @@ FaultSpec parse_fault_spec(const std::string& text) {
 
     if (head == "loss") {
       PacketLossFault f;
-      f.loss_prob = parse_double(head_value, "loss probability");
+      f.loss_prob =
+          util::parse_double(head_value, "fault spec: loss probability");
       modifiers([&](const std::string& key, const std::string& value) {
         if (key == "rto") {
-          f.rto = parse_double(value, "rto");
+          f.rto = util::parse_double(value, "fault spec: rto");
         } else if (key == "backoff") {
-          f.rto_backoff = parse_double(value, "backoff");
+          f.rto_backoff = util::parse_double(value, "fault spec: backoff");
         } else if (key == "retries") {
-          f.max_retries = parse_int(value, "retries");
+          f.max_retries = util::parse_int(value, "fault spec: retries", 0);
         } else if (key == "recovery") {
           if (value == "timeout") {
             f.recovery = PacketLossFault::Recovery::kTimeoutRetransmit;
@@ -296,13 +279,15 @@ FaultSpec parse_fault_spec(const std::string& text) {
       REPRO_REQUIRE(dash != std::string::npos,
                     "fault spec: degrade needs a node pair A-B, got '" +
                         head_value + "'");
-      d.node_a = parse_int(head_value.substr(0, dash), "degrade node");
-      d.node_b = parse_int(head_value.substr(dash + 1), "degrade node");
+      d.node_a = util::parse_int(head_value.substr(0, dash),
+                                 "fault spec: degrade node", 0);
+      d.node_b = util::parse_int(head_value.substr(dash + 1),
+                                 "fault spec: degrade node", 0);
       modifiers([&](const std::string& key, const std::string& value) {
         if (key == "bw") {
-          d.bandwidth_factor = parse_double(value, "bw");
+          d.bandwidth_factor = util::parse_double(value, "fault spec: bw");
         } else if (key == "lat") {
-          d.extra_latency = parse_double(value, "lat");
+          d.extra_latency = util::parse_double(value, "fault spec: lat");
         } else {
           return false;
         }
@@ -311,14 +296,17 @@ FaultSpec parse_fault_spec(const std::string& text) {
       spec.degraded_links.push_back(d);
     } else if (head == "straggler") {
       Straggler s;
-      s.node = parse_int(head_value, "straggler node");
+      s.node = util::parse_int(head_value, "fault spec: straggler node", 0);
       modifiers([&](const std::string& key, const std::string& value) {
         if (key == "x") {
-          s.compute_factor = parse_double(value, "straggler factor");
+          s.compute_factor =
+              util::parse_double(value, "fault spec: straggler factor");
         } else if (key == "period") {
-          s.noise_period = parse_double(value, "noise period");
+          s.noise_period =
+              util::parse_double(value, "fault spec: noise period");
         } else if (key == "dur") {
-          s.noise_duration = parse_double(value, "noise duration");
+          s.noise_duration =
+              util::parse_double(value, "fault spec: noise duration");
         } else {
           return false;
         }
@@ -327,12 +315,13 @@ FaultSpec parse_fault_spec(const std::string& text) {
       spec.stragglers.push_back(s);
     } else if (head == "stall") {
       NodeStall s;
-      s.node = parse_int(head_value, "stall node");
+      s.node = util::parse_int(head_value, "fault spec: stall node", 0);
       modifiers([&](const std::string& key, const std::string& value) {
         if (key == "at") {
-          s.at = parse_double(value, "stall start");
+          s.at = util::parse_double(value, "fault spec: stall start");
         } else if (key == "dur") {
-          s.duration = parse_double(value, "stall duration");
+          s.duration =
+              util::parse_double(value, "fault spec: stall duration");
         } else {
           return false;
         }

@@ -2,9 +2,9 @@
 
 #include <cstdio>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace repro::net {
 
@@ -20,26 +20,6 @@ const char* kind_name(TopologyKind kind) {
       return "torus";
   }
   return "?";
-}
-
-// Strict numeric field parsers, mirroring the fault-spec mini-language:
-// a typo must fail loudly, not silently pick a default.
-long parse_long(const std::string& what, const std::string& text) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    throw util::Error("topology spec: bad " + what + " value '" + text + "'");
-  }
-  return v;
-}
-
-double parse_double(const std::string& what, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    throw util::Error("topology spec: bad " + what + " value '" + text + "'");
-  }
-  return v;
 }
 
 }  // namespace
@@ -103,16 +83,17 @@ TopologySpec parse_topology_spec(const std::string& text) {
     }
     const std::string key = clause.substr(0, eq);
     const std::string value = clause.substr(eq + 1);
+    const std::string what = "topology spec: " + key;
     if (spec.kind == TopologyKind::kFatTree && key == "radix") {
-      spec.radix = static_cast<int>(parse_long(key, value));
+      spec.radix = util::parse_int(value, what);
     } else if (spec.kind == TopologyKind::kFatTree && key == "over") {
-      spec.oversubscription = parse_double(key, value);
+      spec.oversubscription = util::parse_double(value, what);
     } else if (spec.kind == TopologyKind::kTorus && key == "x") {
-      spec.torus_x = static_cast<int>(parse_long(key, value));
+      spec.torus_x = util::parse_int(value, what, 0);
     } else if (spec.kind == TopologyKind::kTorus && key == "y") {
-      spec.torus_y = static_cast<int>(parse_long(key, value));
+      spec.torus_y = util::parse_int(value, what, 0);
     } else if (spec.kind == TopologyKind::kTorus && key == "z") {
-      spec.torus_z = static_cast<int>(parse_long(key, value));
+      spec.torus_z = util::parse_int(value, what, 0);
     } else {
       throw util::Error("topology spec: unknown option '" + key + "' for " +
                         kind_name(spec.kind));

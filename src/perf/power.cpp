@@ -1,38 +1,34 @@
 #include "perf/power.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace repro::perf {
 
 namespace {
 
-// Strict non-negative watts parse (same discipline as the decomposition
-// spec's integer parser): std::strtod accepts trailing garbage and
-// locale-dependent forms — require a fully consumed, finite, non-negative
-// plain decimal instead.
-double parse_watts(const std::string& value, const std::string& what,
-                   const std::string& text) {
-  REPRO_REQUIRE(!value.empty() && value.find_first_not_of("0123456789.") ==
-                                      std::string::npos,
-                "bad " + what + " in power spec (expected a non-negative "
-                "decimal watt value): " + text);
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  REPRO_REQUIRE(end == value.c_str() + value.size() && std::isfinite(v) &&
-                    v >= 0.0,
-                "bad " + what + " in power spec (expected a non-negative "
-                "decimal watt value): " + text);
+// A non-negative plain decimal watt value (no exponent, so every spec is
+// written the way to_string writes it).
+double parse_watts(const std::string& value, const std::string& what) {
+  const double v = util::parse_double(value, "power spec: " + what,
+                                      std::chars_format::fixed);
+  REPRO_REQUIRE(!std::signbit(v),
+                "power spec: " + what + " must be non-negative, got '" +
+                    value + "'");
   return v;
 }
 
+// The shortest plain decimal that parses back to exactly `w`.
 std::string format_watts(double w) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", w);
-  return buf;
+  char buf[512];  // enough for any finite double in fixed notation
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, w, std::chars_format::fixed);
+  REPRO_REQUIRE(ec == std::errc(), "cannot format a watt value");
+  return std::string(buf, end);
 }
 
 }  // namespace
@@ -60,13 +56,13 @@ PowerModel parse_power_spec(const std::string& text) {
       REPRO_REQUIRE(!seen_static, "duplicate static= in power spec: " + text);
       seen_static = true;
       model.static_watts_per_node =
-          parse_watts(opt.substr(7), "static node power", text);
+          parse_watts(opt.substr(7), "static node power");
     } else if (opt.rfind("dynamic=", 0) == 0) {
       REPRO_REQUIRE(!seen_dynamic,
                     "duplicate dynamic= in power spec: " + text);
       seen_dynamic = true;
       model.dynamic_watts =
-          parse_watts(opt.substr(8), "dynamic power", text);
+          parse_watts(opt.substr(8), "dynamic power");
     } else if (opt.rfind("phase:", 0) == 0) {
       const std::size_t eq = opt.find('=');
       const std::string name =
@@ -78,7 +74,7 @@ PowerModel parse_power_spec(const std::string& text) {
                     "duplicate phase override '" + name +
                         "' in power spec: " + text);
       model.phase_watts[name] =
-          parse_watts(opt.substr(eq + 1), "phase power", text);
+          parse_watts(opt.substr(eq + 1), "phase power");
     } else {
       util::fail("bad power option '" + opt +
                      "' (expected static=S,dynamic=D[,phase:NAME=W]...): " +

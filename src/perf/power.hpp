@@ -32,9 +32,10 @@ struct PowerModel {
 std::string to_string(const PowerModel& model);
 
 // Parses "static=S,dynamic=D[,phase:NAME=W]..." (watts, non-negative
-// finite decimals; both static= and dynamic= are required, phase
-// overrides may repeat with distinct names). Throws util::Error on
-// anything else — trailing garbage, duplicate keys, negative watts.
+// plain decimals with no exponent; both static= and dynamic= are
+// required, phase overrides may repeat with distinct names). Throws
+// util::Error on anything else — trailing garbage, duplicate keys,
+// negative watts.
 PowerModel parse_power_spec(const std::string& text);
 
 }  // namespace repro::perf

@@ -1,7 +1,8 @@
-// Byte hashing for the kernel memoization caches (neighbor-list build,
-// parallel-FFT local stages, bonded terms). The hash is only ever a cheap
-// pre-filter: cache hits are decided by exact byte comparison of the full
-// inputs, so a collision can cost a memcmp, never a wrong result.
+// Byte hashing. util::ExactMemo (util/memo.hpp) uses it as a cheap
+// pre-filter over its key bytes: hits are decided by exact byte
+// comparison of the full key, so a collision can cost a memcmp, never a
+// wrong result. The decomposition layer also fingerprints its work-unit
+// map with it.
 #pragma once
 
 #include <cstddef>

@@ -67,6 +67,15 @@ TEST(FaultSpecParseTest, RejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("loss=0.1,unknown=2"), util::Error);
   EXPECT_THROW(parse_fault_spec("degrade=5"), util::Error);  // no pair
   EXPECT_THROW(parse_fault_spec("straggler=1.5"), util::Error);
+  // Values are strict finite decimals: no inf, whitespace, '+' or hex.
+  EXPECT_THROW(parse_fault_spec("straggler=0,x=inf"), util::Error);
+  EXPECT_THROW(parse_fault_spec("degrade=0-1,lat=inf"), util::Error);
+  EXPECT_THROW(parse_fault_spec("stall=0,at=0,dur=inf"), util::Error);
+  EXPECT_THROW(parse_fault_spec("loss=nan"), util::Error);
+  EXPECT_THROW(parse_fault_spec("straggler=0,x= 2"), util::Error);
+  EXPECT_THROW(parse_fault_spec("straggler=0,x=+2"), util::Error);
+  EXPECT_THROW(parse_fault_spec("straggler=0,x=0x1p1"), util::Error);
+  EXPECT_THROW(parse_fault_spec("loss=0.1,retries=2.0"), util::Error);
 }
 
 // --- validation -------------------------------------------------------

@@ -506,6 +506,22 @@ TEST_P(ParallelFftTest, MatchesSerial3D) {
     for (std::size_t i = 0; i < back.size(); ++i) {
       EXPECT_NEAR(std::abs(back[i] - full[x0 * ny * nz + i]), 0.0, 1e-10);
     }
+
+    // A second pass on the same slab serves all four local stages from
+    // the stage memo: both outputs must be the first pass's exact bytes.
+    std::vector<Complex> zslab2(zslab.size());
+    std::vector<Complex> back2(back.size());
+    pfft.forward(xslab.data(), zslab2.data());
+    pfft.backward(zslab2.data(), back2.data());
+    const auto same_bytes = [](const std::vector<Complex>& a,
+                               const std::vector<Complex>& b) {
+      return a.size() == b.size() &&
+             (a.empty() ||
+              std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) ==
+                  0);
+    };
+    EXPECT_TRUE(same_bytes(zslab2, zslab)) << "p=" << p << " rank " << me;
+    EXPECT_TRUE(same_bytes(back2, back)) << "p=" << p << " rank " << me;
   });
 }
 

@@ -73,6 +73,15 @@ TEST(PowerSpecTest, ParsesAndRoundTrips) {
   EXPECT_EQ(perf::to_string(m), "static=55,dynamic=25.5,phase:pme_fft=18");
   EXPECT_EQ(perf::to_string(perf::parse_power_spec(perf::to_string(m))),
             perf::to_string(m));
+  // Large and fractional watt values print as plain decimals that parse
+  // back to the same model.
+  perf::PowerModel big;
+  big.static_watts_per_node = 1e6;
+  big.dynamic_watts = 0.1;
+  EXPECT_EQ(perf::to_string(big), "static=1000000,dynamic=0.1");
+  const perf::PowerModel back = perf::parse_power_spec(perf::to_string(big));
+  EXPECT_EQ(back.static_watts_per_node, 1e6);
+  EXPECT_EQ(back.dynamic_watts, 0.1);
 }
 
 TEST(PowerSpecTest, RejectsGarbage) {
@@ -92,6 +101,10 @@ TEST(PowerSpecTest, RejectsGarbage) {
   EXPECT_THROW(perf::parse_power_spec("static=5,dynamic=2,phase:a=1,phase:a=2"),
                util::Error);
   EXPECT_THROW(perf::parse_power_spec("static=1e3,dynamic=2"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=inf,dynamic=2"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static= 5,dynamic=2"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=+5,dynamic=2"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=-0,dynamic=2"), util::Error);
 }
 
 // The parse layer rejects bad flag strings; these backstops guard specs

@@ -316,6 +316,12 @@ TEST(NeighborListTest, MatchesBruteForce) {
     const Csr want = brute_force_csr(topo, box, variants[v], range, all, all);
     EXPECT_EQ(nbl.offsets(), want.offsets);
     EXPECT_EQ(nbl.neighbors(), want.neighbors);
+    // A fresh list on the same inputs is a build-memo hit and must borrow
+    // the same exact CSR.
+    NeighborList again(6.0, 1.0);
+    again.build(topo, box, variants[v]);
+    EXPECT_EQ(again.offsets(), want.offsets);
+    EXPECT_EQ(again.neighbors(), want.neighbors);
 
     // build_subset: random candidates in shuffled order and a random row
     // mask (some masked rows are not candidates at all).

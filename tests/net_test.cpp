@@ -470,6 +470,11 @@ TEST(TopologyTest, SpecParseErrors) {
   EXPECT_THROW(parse_topology_spec("fattree:radix=abc"), util::Error);
   EXPECT_THROW(parse_topology_spec("fattree:x=4"), util::Error);
   EXPECT_THROW(parse_topology_spec("torus:over=2"), util::Error);
+  EXPECT_THROW(parse_topology_spec("fattree:radix= 4"), util::Error);
+  EXPECT_THROW(parse_topology_spec("fattree:radix=4.0"), util::Error);
+  EXPECT_THROW(parse_topology_spec("fattree:over=inf"), util::Error);
+  EXPECT_THROW(parse_topology_spec("fattree:over=0x2"), util::Error);
+  EXPECT_THROW(parse_topology_spec("torus:x=+2"), util::Error);
 }
 
 TEST(TopologyTest, SpecValidationErrors) {

@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/flatpack.hpp"
+#include "util/memo.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -215,6 +224,150 @@ TEST(ErrorTest, RequireThrowsWithContext) {
     FAIL() << "should have thrown";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("math is broken"),
+              std::string::npos);
+  }
+}
+
+// --- ExactMemo ---------------------------------------------------------------
+
+using Memo = ExactMemo<std::vector<double>>;
+
+std::shared_ptr<const std::vector<double>> find(const Memo& memo,
+                                                const std::vector<double>& a,
+                                                const std::vector<int>& b) {
+  return memo.find(MemoKey{key_bytes(a), key_bytes(b)});
+}
+
+void insert(Memo& memo, const std::vector<double>& a,
+            const std::vector<int>& b, std::vector<double> value) {
+  memo.insert(MemoKey{key_bytes(a), key_bytes(b)}, std::move(value));
+}
+
+TEST(ExactMemoTest, RepeatKeyHitsWithTheStoredValue) {
+  Memo memo(4);
+  const std::vector<double> a{1.5, -2.25};
+  const std::vector<int> b{7, 8, 9};
+  EXPECT_EQ(find(memo, a, b), nullptr);
+  insert(memo, a, b, {3.0, 4.0});
+  const auto hit = find(memo, std::vector<double>(a), std::vector<int>(b));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, (std::vector<double>{3.0, 4.0}));
+}
+
+TEST(ExactMemoTest, AnyByteOrLengthDifferenceMisses) {
+  Memo memo(8);
+  const std::vector<double> a{0.0, 1.0};
+  const std::vector<int> b{1, 2};
+  insert(memo, a, b, {42.0});
+  std::vector<double> one_byte = a;
+  one_byte[1] = std::nextafter(1.0, 2.0);  // last mantissa bit differs
+  EXPECT_EQ(find(memo, one_byte, b), nullptr);
+  EXPECT_EQ(find(memo, a, {1, 3}), nullptr);
+  EXPECT_EQ(find(memo, a, {1}), nullptr);
+  EXPECT_EQ(find(memo, a, {1, 2, 0}), nullptr);
+  // -0.0 == 0.0 as doubles, but not as key bytes.
+  EXPECT_EQ(find(memo, {-0.0, 1.0}, b), nullptr);
+  EXPECT_NE(find(memo, a, b), nullptr);
+  // The same 16 zero bytes, split differently between the two spans.
+  insert(memo, {0.0, 0.0}, {}, {1.0});
+  EXPECT_EQ(find(memo, {0.0}, {0, 0}), nullptr);
+  EXPECT_NE(find(memo, {0.0, 0.0}, {}), nullptr);
+}
+
+TEST(ExactMemoTest, NanKeyHitsItself) {
+  Memo memo(2);
+  const std::vector<double> nan{std::numeric_limits<double>::quiet_NaN()};
+  insert(memo, nan, {}, {1.0});
+  const auto hit = find(memo, nan, {});
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, std::vector<double>{1.0});
+}
+
+TEST(ExactMemoTest, EmptySpansAreKeys) {
+  Memo memo(4);
+  insert(memo, {}, {}, {1.0});
+  insert(memo, {}, {5}, {2.0});
+  ASSERT_NE(find(memo, {}, {}), nullptr);
+  EXPECT_EQ(*find(memo, {}, {}), std::vector<double>{1.0});
+  ASSERT_NE(find(memo, {}, {5}), nullptr);
+  EXPECT_EQ(*find(memo, {}, {5}), std::vector<double>{2.0});
+  EXPECT_EQ(find(memo, {0.0}, {}), nullptr);
+}
+
+TEST(ExactMemoTest, EvictsOldestFirstAndHeldValuesOutliveEviction) {
+  Memo memo(3);
+  insert(memo, {0.0}, {}, {10.0});
+  const auto held = find(memo, {0.0}, {});
+  ASSERT_NE(held, nullptr);
+  for (int k = 1; k <= 3; ++k) {
+    insert(memo, {static_cast<double>(k)}, {}, {10.0 + k});
+  }
+  EXPECT_EQ(find(memo, {0.0}, {}), nullptr);  // capacity + 1: oldest gone
+  for (int k = 1; k <= 3; ++k) {
+    EXPECT_NE(find(memo, {static_cast<double>(k)}, {}), nullptr) << k;
+  }
+  EXPECT_EQ(*held, std::vector<double>{10.0});
+}
+
+TEST(ExactMemoTest, ConcurrentFindInsertReturnsExactValues) {
+  // Fewer slots than keys, so threads also race evictions.
+  Memo memo(16);
+  constexpr int kKeys = 48;
+  const auto value_of = [](int k) {
+    std::vector<double> v(64);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = std::sin(k * 1000.0 + static_cast<double>(i));
+    }
+    return v;
+  };
+  std::atomic<int> hits{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        const int k = (i * 7 + t * 13) % kKeys;
+        const std::vector<double> key{static_cast<double>(k)};
+        const std::vector<int> tag{k, -k};
+        if (const auto hit = find(memo, key, tag)) {
+          ++hits;
+          const std::vector<double> want = value_of(k);
+          if (hit->size() != want.size() ||
+              std::memcmp(hit->data(), want.data(),
+                          want.size() * sizeof(double)) != 0) {
+            ++wrong;
+          }
+        } else {
+          insert(memo, key, tag, value_of(k));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+// --- strict number parsing ---------------------------------------------------
+
+TEST(ParseDoubleTest, AcceptsPlainAndExponentForms) {
+  EXPECT_EQ(parse_double("2", "x"), 2.0);
+  EXPECT_EQ(parse_double("-0.25", "x"), -0.25);
+  EXPECT_EQ(parse_double("1e-06", "x"), 1e-6);
+  EXPECT_EQ(parse_double("1000000", "x", std::chars_format::fixed), 1e6);
+}
+
+TEST(ParseDoubleTest, RejectsEverythingElse) {
+  for (const char* bad : {"", " 2", "2 ", "+2", "0x1p1", "inf", "-inf", "nan",
+                          "2x", "1e999", "1..2", "e3"}) {
+    EXPECT_THROW(parse_double(bad, "x"), Error) << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_double("1e3", "x", std::chars_format::fixed), Error);
+  try {
+    parse_double("inf", "fault spec: lat");
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("fault spec: lat"),
               std::string::npos);
   }
 }
