@@ -92,7 +92,7 @@ RunStats run_ring(int p, int steps, const net::TopologySpec& topo) {
   cfg.network = net::Network::kScoreGigE;
   cfg.topology = topo;
   net::ClusterNetwork net(cfg);
-  sim::Engine engine(p, sim::EngineBackend::kFiber);
+  sim::Engine engine(p);
   std::vector<perf::RankRecorder> recorders(static_cast<std::size_t>(p));
   std::vector<double> finish(static_cast<std::size_t>(p), 0.0);
   const auto t0 = std::chrono::steady_clock::now();
@@ -133,7 +133,7 @@ RunStats run_pattern(int p, int iters, Pattern pattern,
   cfg.network = net::Network::kScoreGigE;
   cfg.topology = topo;
   net::ClusterNetwork net(cfg);
-  sim::Engine engine(p, sim::EngineBackend::kFiber);
+  sim::Engine engine(p);
   std::vector<perf::RankRecorder> recorders(static_cast<std::size_t>(p));
   std::vector<double> finish(static_cast<std::size_t>(p), 0.0);
   const auto t0 = std::chrono::steady_clock::now();

@@ -29,9 +29,6 @@ namespace repro::bench {
 struct BenchOptions {
   int steps = 10;  // MD steps per cell (the paper's measurement runs)
   int jobs = -1;   // sweep concurrency; -1 = REPRO_JOBS / hardware default
-  // DES execution backend for every cell ($REPRO_ENGINE / fiber by
-  // default). Simulated output is byte-identical across backends.
-  sim::EngineBackend engine = sim::default_engine_backend();
   // CI mode: benches with large sweeps (e.g. the conclusion's 128-rank
   // scaling study) cut their factor grids down to a fast subset that
   // still exercises every code path.
@@ -43,7 +40,7 @@ inline BenchOptions& options() {
   return opts;
 }
 
-// Accepts --steps=N, --jobs=N, --engine=fiber|thread and --smoke;
+// Accepts --steps=N, --jobs=N and --smoke;
 // anything else exits with an error so a typo cannot silently produce a
 // full-length run in CI.
 inline void parse_figure_args(int argc, char** argv) {
@@ -54,14 +51,11 @@ inline void parse_figure_args(int argc, char** argv) {
         options().steps = util::parse_int(arg.substr(8), "--steps");
       } else if (arg.rfind("--jobs=", 0) == 0) {
         options().jobs = util::parse_int(arg.substr(7), "--jobs");
-      } else if (arg.rfind("--engine=", 0) == 0) {
-        options().engine = sim::parse_engine_backend(arg.c_str() + 9);
       } else if (arg == "--smoke") {
         options().smoke = true;
       } else {
         throw util::Error("unknown option: " + arg +
-                          " (supported: --steps=N --jobs=N "
-                          "--engine=fiber|thread --smoke)");
+                          " (supported: --steps=N --jobs=N --smoke)");
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
@@ -123,7 +117,6 @@ inline void prewarm(const std::vector<std::pair<core::Platform, int>>& cells) {
     spec.platform = platform;
     spec.nprocs = nprocs;
     spec.charmm.nsteps = options().steps;
-    spec.engine = options().engine;
     specs.push_back(spec);
   }
   if (specs.empty()) return;
@@ -144,7 +137,6 @@ inline const core::ExperimentResult& run_cached(const core::Platform& p,
     spec.platform = p;
     spec.nprocs = nprocs;
     spec.charmm.nsteps = options().steps;
-    spec.engine = options().engine;
     it = cache.emplace(detail::cell_key(p, nprocs),
                        core::run_experiment(prepared_system(), spec))
              .first;

@@ -198,7 +198,7 @@ int cmd_build_system(const Args& args) {
 int cmd_run(const Args& args) {
   args.allow_only({"system", "seed", "relax", "procs", "network",
                    "middleware", "cpus", "steps", "pme", "decomp", "kernel",
-                   "power", "engine", "faults", "topology", "timeline",
+                   "power", "faults", "topology", "timeline",
                    "trace-out", "metrics-out"});
   core::ExperimentSpec spec;
   spec.platform.network = parse_network(args);
@@ -213,9 +213,6 @@ int cmd_run(const Args& args) {
   }
   if (args.has("power")) {
     spec.power = perf::parse_power_spec(args.get("power", ""));
-  }
-  if (args.has("engine")) {
-    spec.engine = sim::parse_engine_backend(args.get("engine", ""));
   }
   if (args.has("faults")) {
     spec.faults = net::parse_fault_spec(args.get("faults", ""));
@@ -294,8 +291,8 @@ int cmd_predict(const Args& args) {
 
 int cmd_sweep(const Args& args) {
   args.allow_only({"system", "seed", "relax", "network", "middleware",
-                   "cpus", "decomp", "kernel", "power", "engine", "faults",
-                   "topology", "jobs"});
+                   "cpus", "decomp", "kernel", "power", "faults", "topology",
+                   "jobs"});
   core::ExperimentSpec base;
   base.platform.network = parse_network(args);
   base.platform.middleware = parse_middleware(args);
@@ -306,9 +303,6 @@ int cmd_sweep(const Args& args) {
   }
   if (args.has("power")) {
     base.power = perf::parse_power_spec(args.get("power", ""));
-  }
-  if (args.has("engine")) {
-    base.engine = sim::parse_engine_backend(args.get("engine", ""));
   }
   if (args.has("faults")) {
     base.faults = net::parse_fault_spec(args.get("faults", ""));
@@ -369,8 +363,6 @@ void usage() {
       "                [--decomp atom|force|task[:pme=N]|\n"
       "                    spatial[:grid=AxBxC][:pme=pencil[:grid=PyxPz]]\n"
       "                    [:ldb=greedy|refine|off[,units=K]]]\n"
-      "                [--engine fiber|thread]  DES backend (default fiber,\n"
-      "                    or $REPRO_ENGINE; results identical either way)\n"
       "                [--kernel scalar|simd]  physics kernel variant\n"
       "                    (default scalar, or $REPRO_KERNEL; identical\n"
       "                    simulated results, host wall clock differs)\n"
@@ -398,7 +390,6 @@ void usage() {
       "                    [:ldb=greedy|refine|off[,units=K]]]\n"
       "                [--jobs N]  concurrent cells (default: hardware "
       "threads; 1 = sequential)\n"
-      "                [--engine fiber|thread]  DES backend per cell\n"
       "                [--kernel scalar|simd]  physics kernel per cell\n"
       "                [--power=SPEC]  energy model for every cell\n"
       "                [--faults=SPEC]  fault injection for every cell\n"

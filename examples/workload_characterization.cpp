@@ -5,16 +5,37 @@
 // factor-space position — everything needed to "derive good estimates
 // about the benefits of moving applications to novel computing platforms".
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <string>
+#include <utility>
 
 #include "charmm/simulation.hpp"
 #include "core/experiment.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/error.hpp"
+#include "util/parse.hpp"
 
 using namespace repro;
 
 namespace {
+
+constexpr const char* kUsage =
+    "[procs] [tcp|score|myrinet] [mpi|cmpi] [uni|dual]";
+
+// Maps a positional word to its value. Any other word is an error naming
+// the argument, so a typo cannot silently run the default platform.
+template <typename T>
+T pick(const std::string& word, const std::string& what,
+       std::initializer_list<std::pair<const char*, T>> choices) {
+  std::string expected;
+  for (const auto& [name, value] : choices) {
+    if (word == name) return value;
+    if (!expected.empty()) expected += '|';
+    expected += name;
+  }
+  throw util::Error(what + ": unknown value '" + word + "' (expected " +
+                    expected + ")");
+}
 
 void report(const core::ExperimentResult& r, const core::ExperimentSpec& spec) {
   std::printf("\nplatform : %s\n", spec.platform.to_string().c_str());
@@ -49,24 +70,36 @@ void report(const core::ExperimentResult& r, const core::ExperimentSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Optional: <procs> <tcp|score|myrinet> <mpi|cmpi> <uni|dual>
   core::ExperimentSpec spec;
-  spec.nprocs = argc > 1 ? std::atoi(argv[1]) : 8;
-  if (argc > 2) {
-    if (std::strcmp(argv[2], "score") == 0) {
-      spec.platform.network = net::Network::kScoreGigE;
-    } else if (std::strcmp(argv[2], "myrinet") == 0) {
-      spec.platform.network = net::Network::kMyrinetGM;
+  spec.nprocs = 8;
+  try {
+    if (argc > 5) {
+      throw util::Error("too many arguments (usage: " +
+                        std::string(argv[0]) + " " + kUsage + ")");
     }
-  }
-  if (argc > 3 && std::strcmp(argv[3], "cmpi") == 0) {
-    spec.platform.middleware = middleware::Kind::kCmpi;
-  }
-  if (argc > 4 && std::strcmp(argv[4], "dual") == 0) {
-    spec.platform.cpus_per_node = 2;
+    if (argc > 1) spec.nprocs = util::parse_int(argv[1], "<procs>");
+    if (argc > 2) {
+      spec.platform.network = pick<net::Network>(
+          argv[2], "<network>",
+          {{"tcp", net::Network::kTcpGigE},
+           {"score", net::Network::kScoreGigE},
+           {"myrinet", net::Network::kMyrinetGM}});
+    }
+    if (argc > 3) {
+      spec.platform.middleware = pick<middleware::Kind>(
+          argv[3], "<middleware>",
+          {{"mpi", middleware::Kind::kMpi}, {"cmpi", middleware::Kind::kCmpi}});
+    }
+    if (argc > 4) {
+      spec.platform.cpus_per_node =
+          pick<int>(argv[4], "<cpus>", {{"uni", 1}, {"dual", 2}});
+    }
+  } catch (const util::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 
-  std::printf("preparing the molecular system...\n");
+  std::printf("building + relaxing the molecular system...\n");
   sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like();
   charmm::relax_system(sys, 60);
 

@@ -228,7 +228,7 @@ ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
     }
   }
 
-  sim::Engine engine(spec.nprocs, spec.engine);
+  sim::Engine engine(spec.nprocs);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, network,
                    recorders[static_cast<std::size_t>(ctx.rank())],

@@ -18,7 +18,6 @@
 #include "perf/power.hpp"
 #include "perf/report.hpp"
 #include "perf/timeline.hpp"
-#include "sim/engine.hpp"
 
 namespace repro::core {
 
@@ -53,11 +52,6 @@ struct ExperimentSpec {
   // link degradation, stragglers, node stalls; see net/faults.hpp). Absent
   // or empty specs leave every run byte-identical to the fault-free model.
   std::optional<net::FaultSpec> faults;
-  // Which DES execution backend runs the simulated ranks (fiber by
-  // default, thread for TSan-style race checking; $REPRO_ENGINE overrides
-  // the default). Simulated results are byte-identical across backends —
-  // only real wall clock differs.
-  sim::EngineBackend engine = sim::default_engine_backend();
   // Fabric between the nodes (single switch by default — the paper's
   // cluster; fattree/torus model hierarchical clusters, see
   // net/topology.hpp).

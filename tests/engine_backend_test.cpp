@@ -1,131 +1,22 @@
-// Backend-equivalence suite: the fiber and thread DES backends must be
-// observationally identical — same simulated results byte for byte, same
-// events_processed / context_switches counters, and the same deadlock and
-// abort-teardown behaviour. Only real wall clock may differ.
+// Failure paths of the fiber DES engine: deadlock detection and a mid-run
+// rank error both tear the run down by unwinding every parked fiber, and
+// the same Engine must then rerun clean — fresh clocks, empty inboxes, no
+// stale events, statistics of its own. The sanitizer CI legs run this
+// suite on its own because these paths abandon fiber stacks mid-frame.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
-#include "charmm/simulation.hpp"
-#include "core/experiment.hpp"
-#include "perf/metrics.hpp"
 #include "sim/engine.hpp"
-#include "sysbuild/builder.hpp"
 #include "util/error.hpp"
 
-// The fiber backend cannot run under ThreadSanitizer (TSan does not track
-// ucontext switches), so tests that force EngineBackend::kFiber skip
-// themselves in TSan builds; the TSan CI leg additionally pins
-// REPRO_ENGINE=thread for the rest of the suite.
-#if defined(__SANITIZE_THREAD__)
-#define REPRO_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define REPRO_TEST_TSAN 1
-#endif
-#endif
-
-namespace repro {
+namespace repro::sim {
 namespace {
 
-#if defined(REPRO_TEST_TSAN)
-constexpr bool kTsanBuild = true;
-#else
-constexpr bool kTsanBuild = false;
-#endif
-
-const sysbuild::BuiltSystem& system_fixture() {
-  static const sysbuild::BuiltSystem sys = [] {
-    sysbuild::BuiltSystem s = sysbuild::build_myoglobin_like();
-    charmm::relax_system(s, 60);
-    return s;
-  }();
-  return sys;
-}
-
-core::ExperimentResult run_cell(sim::EngineBackend backend) {
-  core::ExperimentSpec spec;
-  spec.platform.network = net::Network::kTcpGigE;
-  spec.platform.middleware = middleware::Kind::kCmpi;
-  spec.nprocs = 4;
-  spec.charmm.nsteps = 3;
-  spec.engine = backend;
-  return core::run_experiment(system_fixture(), spec);
-}
-
-TEST(EngineBackendTest, SweepCellByteIdenticalAcrossBackends) {
-  if (kTsanBuild) GTEST_SKIP() << "fiber backend unsupported under TSan";
-  const core::ExperimentResult fiber = run_cell(sim::EngineBackend::kFiber);
-  const core::ExperimentResult thread = run_cell(sim::EngineBackend::kThread);
-
-  // The full serialized metrics report — every timing, resource counter
-  // and channel statistic — must match byte for byte.
-  EXPECT_EQ(perf::metrics_json(fiber.metrics),
-            perf::metrics_json(thread.metrics));
-
-  // Engine bookkeeping is defined in simulated terms (events delivered,
-  // simulated control handoffs), so it is backend-invariant too.
-  EXPECT_EQ(fiber.engine_events, thread.engine_events);
-  EXPECT_EQ(fiber.engine_context_switches, thread.engine_context_switches);
-
-  EXPECT_EQ(fiber.position_checksum, thread.position_checksum);
-  EXPECT_EQ(fiber.energy.potential(), thread.energy.potential());
-  EXPECT_EQ(fiber.pairs_in_list, thread.pairs_in_list);
-}
-
-// --- raw-engine equivalence ---------------------------------------------
-
-// A little message workload exercising blocking, wakeups and time-ordered
-// delivery; returns a trace that must not depend on the backend.
-struct RawTrace {
-  std::vector<int> values;
-  std::uint64_t events = 0;
-  std::uint64_t switches = 0;
-  bool operator==(const RawTrace&) const = default;
-};
-
-RawTrace run_raw(sim::EngineBackend backend) {
-  sim::Engine engine(3, backend);
-  std::vector<int> values;
-  engine.run([&](sim::RankCtx& ctx) {
-    if (ctx.rank() == 0) {
-      ctx.post(1.0, 1, 10);
-      ctx.post(2.0, 2, 20);
-      ctx.advance(0.5);
-      ctx.checkpoint();
-    } else {
-      while (ctx.inbox().empty()) ctx.block();
-      values.push_back(*ctx.inbox().front().payload.get_if<int>());
-      ctx.inbox().clear();
-    }
-  });
-  return RawTrace{values, engine.events_processed(),
-                  engine.context_switches()};
-}
-
-TEST(EngineBackendTest, RawEngineCountersMatch) {
-  if (kTsanBuild) GTEST_SKIP() << "fiber backend unsupported under TSan";
-  EXPECT_EQ(run_raw(sim::EngineBackend::kFiber),
-            run_raw(sim::EngineBackend::kThread));
-}
-
-// --- failure paths, on each backend -------------------------------------
-
-class BackendParamTest
-    : public ::testing::TestWithParam<sim::EngineBackend> {
- protected:
-  void SetUp() override {
-    if (kTsanBuild && GetParam() == sim::EngineBackend::kFiber) {
-      GTEST_SKIP() << "fiber backend unsupported under TSan";
-    }
-  }
-};
-
-TEST_P(BackendParamTest, DeadlockIsDetectedAndEngineSurvives) {
-  sim::Engine engine(2, GetParam());
-  EXPECT_THROW(engine.run([&](sim::RankCtx& ctx) {
+TEST(EngineTest, DeadlockIsDetectedAndEngineSurvives) {
+  Engine engine(2);
+  EXPECT_THROW(engine.run([&](RankCtx& ctx) {
     ctx.checkpoint();
     ctx.block();  // nobody will ever wake anyone
   }),
@@ -134,7 +25,7 @@ TEST_P(BackendParamTest, DeadlockIsDetectedAndEngineSurvives) {
   // Teardown must leave the engine reusable: the rerun sees fresh clocks,
   // no stale events, and statistics of its own.
   int ran = 0;
-  engine.run([&](sim::RankCtx& ctx) {
+  engine.run([&](RankCtx& ctx) {
     ctx.advance(1.0);
     ctx.checkpoint();
     if (ctx.rank() == 0) ++ran;
@@ -143,37 +34,39 @@ TEST_P(BackendParamTest, DeadlockIsDetectedAndEngineSurvives) {
   EXPECT_EQ(ran, 1);
 }
 
-TEST_P(BackendParamTest, MidRunErrorAbortsAllRanksAndRerunsClean) {
-  sim::Engine engine(3, GetParam());
-  EXPECT_THROW(engine.run([&](sim::RankCtx& ctx) {
-                 if (ctx.rank() == 1) {
-                   ctx.post(ctx.now() + 100.0, 2, 7);
-                   throw util::Error("boom");
-                 }
-                 ctx.advance(1.0);
-                 ctx.checkpoint();
-                 ctx.block();  // unwound by the abort, not a deadlock
-               }),
-               util::Error);
+TEST(EngineTest, MidRunErrorAbortsAllRanksAndRerunsClean) {
+  Engine engine(3);
+  // Rank 1 dies with a message in flight to rank 2; the others are parked
+  // in checkpoint/block and must be unwound by the abort, not reported as
+  // a deadlock.
+  try {
+    engine.run([&](RankCtx& ctx) {
+      if (ctx.rank() == 1) {
+        ctx.post(ctx.now() + 100.0, 2, 7);
+        throw util::Error("rank 1 exploded");
+      }
+      ctx.advance(1.0);
+      ctx.checkpoint();
+      ctx.block();
+    });
+    FAIL() << "expected the rank's error";
+  } catch (const util::Error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 exploded");
+  }
 
+  // The rerun must not see the aborted run's event, abort flag, or error,
+  // and the statistics must be this run's alone.
   std::vector<int> ran(3, 0);
-  engine.run([&](sim::RankCtx& ctx) {
+  engine.run([&](RankCtx& ctx) {
     ctx.advance(200.0);  // past the stale event's delivery time
     ctx.checkpoint();
     ran[static_cast<std::size_t>(ctx.rank())] = 1;
     EXPECT_TRUE(ctx.inbox().empty());
-    EXPECT_DOUBLE_EQ(ctx.now(), 200.0);
+    EXPECT_DOUBLE_EQ(ctx.now(), 200.0);  // clocks restarted at zero
   });
   EXPECT_EQ(ran, (std::vector<int>{1, 1, 1}));
   EXPECT_EQ(engine.events_processed(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, BackendParamTest,
-                         ::testing::Values(sim::EngineBackend::kFiber,
-                                           sim::EngineBackend::kThread),
-                         [](const auto& info) {
-                           return std::string(sim::to_string(info.param));
-                         });
-
 }  // namespace
-}  // namespace repro
+}  // namespace repro::sim

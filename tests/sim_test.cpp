@@ -185,27 +185,6 @@ TEST(EngineTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a, b);
 }
 
-TEST(EngineTest, DeadlockIsDetected) {
-  Engine engine(2);
-  EXPECT_THROW(engine.run([&](RankCtx& ctx) {
-    ctx.checkpoint();
-    ctx.block();  // nobody will ever wake anyone
-  }),
-               util::Error);
-}
-
-TEST(EngineTest, RankExceptionPropagates) {
-  Engine engine(3);
-  EXPECT_THROW(engine.run([&](RankCtx& ctx) {
-    if (ctx.rank() == 1) {
-      throw util::Error("rank 1 exploded");
-    }
-    ctx.checkpoint();
-    ctx.block();  // would deadlock, but the abort tears it down
-  }),
-               util::Error);
-}
-
 TEST(EngineTest, AdvanceRejectsNegative) {
   Engine engine(1);
   EXPECT_THROW(
@@ -291,34 +270,6 @@ TEST(EngineTest, ContextSwitchesAreCounted) {
   EXPECT_GE(engine.context_switches(), 4u);
 }
 
-TEST(EngineTest, RerunAfterAbortStartsClean) {
-  Engine engine(2);
-  // First run dies in rank 0 while rank 1 has a message in flight.
-  EXPECT_THROW(engine.run([&](RankCtx& ctx) {
-                 if (ctx.rank() == 0) {
-                   ctx.post(ctx.now() + 100.0, 1, 42);
-                   throw util::Error("boom");
-                 }
-                 ctx.advance(1.0);
-                 ctx.checkpoint();
-               }),
-               util::Error);
-
-  // The rerun must not see the aborted run's event, abort flag, or error,
-  // and the statistics must be this run's alone.
-  std::vector<int> ran(2, 0);
-  std::vector<std::size_t> leftovers(2, 0);
-  engine.run([&](RankCtx& ctx) {
-    ctx.advance(200.0);  // past the stale event's delivery time
-    ctx.checkpoint();
-    ran[static_cast<std::size_t>(ctx.rank())] = 1;
-    leftovers[static_cast<std::size_t>(ctx.rank())] = ctx.inbox().size();
-    EXPECT_DOUBLE_EQ(ctx.now(), 200.0);  // clocks restarted at zero
-  });
-  EXPECT_EQ(ran, (std::vector<int>{1, 1}));
-  EXPECT_EQ(leftovers, (std::vector<std::size_t>{0, 0}));
-}
-
 TEST(EngineTest, RerunResetsStatistics) {
   Engine engine(2);
   engine.run([&](RankCtx& ctx) {
@@ -333,36 +284,6 @@ TEST(EngineTest, RerunResetsStatistics) {
   engine.run([&](RankCtx& ctx) { ctx.advance(1.0); });
   EXPECT_EQ(engine.events_processed(), 0u);
   EXPECT_LT(engine.context_switches(), 100u);
-}
-
-TEST(FiberStackKbTest, ParsesPlainValues) {
-  EXPECT_EQ(parse_fiber_stack_kb("4096"), std::size_t{4096} * 1024);
-  EXPECT_EQ(parse_fiber_stack_kb("+128"), std::size_t{128} * 1024);
-}
-
-TEST(FiberStackKbTest, ClampsTinyValuesToTheFloor) {
-  // 1 KiB cannot hold a rank main's frames; clamp, don't crash later.
-  EXPECT_EQ(parse_fiber_stack_kb("1"), kMinFiberStackBytes);
-  EXPECT_EQ(parse_fiber_stack_kb("63"), kMinFiberStackBytes);
-  EXPECT_EQ(parse_fiber_stack_kb("64"), kMinFiberStackBytes);
-  EXPECT_GT(parse_fiber_stack_kb("65"), kMinFiberStackBytes);
-}
-
-TEST(FiberStackKbTest, RejectsNonNumericInput) {
-  EXPECT_THROW(parse_fiber_stack_kb(""), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("abc"), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("12abc"), util::Error);  // atol trap
-  EXPECT_THROW(parse_fiber_stack_kb("4096 "), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("0x100"), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("+"), util::Error);
-}
-
-TEST(FiberStackKbTest, RejectsZeroAndNegative) {
-  // "0" used to silently produce a zero-size stack and a crash at the
-  // first fiber switch.
-  EXPECT_THROW(parse_fiber_stack_kb("0"), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("-1"), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("-4096"), util::Error);
 }
 
 TEST(EngineTest, DeadlockReportSummarizesLargeRankCounts) {
