@@ -48,10 +48,8 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--procs=", 0) == 0) {
         procs = parse_int_list(arg.substr(8));
       } else {
-        std::fprintf(stderr,
-                     "usage: %s [--jobs=N] [--steps=N] [--procs=A,B,...]\n",
-                     argv[0]);
-        return 2;
+        throw util::Error("unknown option: " + arg +
+                          " (supported: --jobs=N --steps=N --procs=A,B,...)");
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());

@@ -71,7 +71,9 @@ SweepScratch& sweep_scratch() {
 // almost every build() call in a sweep repeats an earlier one exactly.
 // An ExactMemo keyed by the full build inputs (radii, box lengths,
 // positions, exclusion list) returns the stored CSR arrays, which are the
-// exact arrays the sweep would have produced.
+// exact arrays the sweep would have produced. A miss moves the swept
+// arrays into the new entry, so every build() list views an entry and the
+// entry's address is the list's identity (NeighborList::identity()).
 struct BuiltList {
   std::vector<util::Vec3> pos;
   std::vector<std::size_t> offsets;
@@ -98,19 +100,19 @@ void NeighborList::build(const Topology& topo, const Box& box,
                                         box.lz()};
   const util::MemoKey key{util::key_bytes(radii_box), util::key_bytes(pos),
                           util::key_bytes(topo.excluded_pairs())};
-  if (auto hit = build_memo().find(key)) {
-    // Borrow the entry's arrays (they are immutable and pinned by the
-    // keepalive) rather than copying megabytes of CSR data per hit.
-    offsets_view_ = &hit->offsets;
-    neighbors_view_ = &hit->neighbors;
-    built_pos_view_ = &hit->pos;
-    built_box_ = box;
-    cache_keepalive_ = std::move(hit);
-    return;
+  std::shared_ptr<const BuiltList> entry = build_memo().find(key);
+  if (!entry) {
+    sweep(topo, box, pos, nullptr, nullptr);
+    entry = build_memo().insert(
+        key, BuiltList{pos, std::move(offsets_), std::move(neighbors_)});
   }
-
-  sweep(topo, box, pos, nullptr, nullptr);
-  build_memo().insert(key, BuiltList{pos, offsets_, neighbors_});
+  // View the entry's arrays (immutable, pinned by identity_) on a hit and
+  // on a miss alike: the list never holds a private copy of them.
+  offsets_view_ = &entry->offsets;
+  neighbors_view_ = &entry->neighbors;
+  built_pos_view_ = &entry->pos;
+  built_box_ = box;
+  identity_ = std::move(entry);
 }
 
 void NeighborList::build_subset(const Topology& topo, const Box& box,
@@ -121,6 +123,12 @@ void NeighborList::build_subset(const Topology& topo, const Box& box,
                     row_mask.size() == pos.size(),
                 "position/mask array size mismatch");
   sweep(topo, box, pos, &candidates, &row_mask);
+  built_pos_ = pos;
+  built_box_ = box;
+  offsets_view_ = &offsets_;
+  neighbors_view_ = &neighbors_;
+  built_pos_view_ = &built_pos_;
+  identity_.reset();
 }
 
 void NeighborList::sweep(const Topology& topo, const Box& box,
@@ -291,13 +299,6 @@ void NeighborList::sweep(const Topology& topo, const Box& box,
           static_cast<int>(j);
     }
   }
-
-  built_pos_ = pos;
-  built_box_ = box;
-  offsets_view_ = &offsets_;
-  neighbors_view_ = &neighbors_;
-  built_pos_view_ = &built_pos_;
-  cache_keepalive_.reset();
 }
 
 bool NeighborList::needs_rebuild(const Box& box,

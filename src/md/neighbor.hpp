@@ -44,8 +44,8 @@ class NeighborList {
   // pair set when every candidate list covers the mask's range
   // neighborhood. Entries of `pos` outside `candidates` are never read.
   // Offsets still span all natoms rows (non-candidate rows are empty), so
-  // the nonbonded kernels run unchanged. Bypasses the build memo: the
-  // inputs are rank-local, never shared.
+  // the nonbonded kernels run unchanged. Bypasses the build memo (the
+  // inputs are rank-local, never shared), so the list has no identity().
   void build_subset(const Topology& topo, const Box& box,
                     const std::vector<util::Vec3>& pos,
                     const std::vector<int>& candidates,
@@ -63,23 +63,31 @@ class NeighborList {
   double cutoff() const { return cutoff_; }
   double skin() const { return skin_; }
 
-  // The views may point into a shared build-memo entry (see build()'s
-  // memoization in neighbor.cpp), so copying a list would alias or dangle.
+  // After build(): the build-memo entry whose arrays this list views (see
+  // build()'s memoization in neighbor.cpp). Lists with the same identity
+  // hold the same arrays, and the address cannot be reused while a copy of
+  // the pointer is held, so (address, held pointer) names the pair list
+  // exactly; the nonbonded pair memo keys on it. Null after build_subset().
+  const std::shared_ptr<const void>& identity() const { return identity_; }
+
+  // The views may point into a shared build-memo entry, so copying a list
+  // would alias or dangle.
   NeighborList(const NeighborList&) = delete;
   NeighborList& operator=(const NeighborList&) = delete;
 
  private:
   double cutoff_;
   double skin_;
+  // The sweep's output; after build() it has moved into the memo entry,
+  // so only build_subset() lists view these members.
   std::vector<std::size_t> offsets_;
   std::vector<int> neighbors_;
   std::vector<util::Vec3> built_pos_;
   Box built_box_;
 
-  // After a memo hit the list borrows the entry's arrays instead of
-  // copying ~MBs of CSR data; the keepalive pins the entry while views
-  // point at it. After a fresh build the views point at the members above.
-  std::shared_ptr<const void> cache_keepalive_;
+  // A build() list views its memo entry's arrays instead of copying ~MBs
+  // of CSR data; identity_ pins the entry while the views point at it.
+  std::shared_ptr<const void> identity_;
   const std::vector<std::size_t>* offsets_view_ = &offsets_;
   const std::vector<int>* neighbors_view_ = &neighbors_;
   const std::vector<util::Vec3>* built_pos_view_ = &built_pos_;

@@ -1,10 +1,14 @@
 #include "md/nonbonded.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <numbers>
 #include <utility>
 
+#include "util/memo.hpp"
 #include "util/units.hpp"
 
 namespace repro::md {
@@ -363,6 +367,67 @@ struct KeepAll {
   bool operator()(int) const { return true; }
 };
 
+// The shard's share of the pair list (i-atoms with i % stride == shard),
+// accumulated into forces; energies are left to the caller.
+NonbondedWork evaluate_shard(const Topology& topo, const Box& box,
+                             const std::vector<Vec3>& pos,
+                             const NeighborList& nbl,
+                             const NonbondedOptions& opts, const PairTable& pt,
+                             std::vector<Vec3>& forces, int shard,
+                             int stride) {
+  NonbondedWork work;
+  const auto& offsets = nbl.offsets();
+  const auto& neigh = nbl.neighbors();
+  if (opts.kernel == util::KernelKind::kSimd) {
+    SimdRowKernel kernel(box, opts, pt, pos, forces);
+    for (int i = shard; i < topo.natoms(); i += stride) {
+      const std::size_t b = offsets[static_cast<std::size_t>(i)];
+      const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
+      kernel.row(i, neigh.data() + b, e - b, KeepAll{}, work);
+    }
+  } else {
+    for (int i = shard; i < topo.natoms(); i += stride) {
+      const std::size_t b = offsets[static_cast<std::size_t>(i)];
+      const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
+      for (std::size_t t = b; t < e; ++t) {
+        accumulate_pair(pt, box, pos, opts, i, neigh[t], forces, work);
+        ++work.pairs_listed;
+      }
+    }
+  }
+  return work;
+}
+
+// --- Sharded pair memo -------------------------------------------------------
+//
+// Every replicated rank evaluates its 1/p shard of the same pair list, and
+// a factorial sweep replays the same trajectory in every network/CPU cell
+// of one (p, middleware), so almost every sharded call repeats an earlier
+// one byte for byte. An ExactMemo (util/memo.hpp) returns the stored
+// result. Its key is every input the kernel reads: the scalars, the
+// positions, the incoming forces (accumulation is non-associative), the
+// pair table and the list. The list enters by identity
+// (NeighborList::identity(), the build-memo entry it views), not by its
+// megabytes of CSR data; the value holds that pointer, so the keyed
+// address cannot name another list while the entry exists. Whole-list
+// calls (stride == 1) bypass it: most of them are the relax, whose
+// positions never repeat, and they would only churn the FIFO.
+struct ShardResult {
+  std::vector<Vec3> forces;  // the accumulators after the call
+  NonbondedWork work;
+  std::shared_ptr<const void> list;  // pins the keyed list identity
+};
+
+// Key element types must be padding-free (util/memo.hpp).
+static_assert(sizeof(Vec3) == 3 * sizeof(double));
+
+util::ExactMemo<ShardResult>& pair_memo() {
+  // The paper's factorial sweep: sum of p (2 + 4 + 8) x 10 steps x 2
+  // middlewares distinct shard calls, about 300 KB each.
+  static util::ExactMemo<ShardResult> memo(280);
+  return memo;
+}
+
 }  // namespace
 
 std::shared_ptr<const PairTable> build_pair_table(const Topology& topo) {
@@ -406,29 +471,49 @@ NonbondedWork nonbonded_energy(const Topology& topo, const Box& box,
   std::shared_ptr<const PairTable> hold;
   const PairTable& pt = *resolve_table(opts, topo, hold);
   NonbondedWork work;
-  const auto& offsets = nbl.offsets();
-  const auto& neigh = nbl.neighbors();
-  if (opts.kernel == util::KernelKind::kSimd) {
-    SimdRowKernel kernel(box, opts, pt, pos, forces);
-    for (int i = shard; i < topo.natoms(); i += stride) {
-      const std::size_t b = offsets[static_cast<std::size_t>(i)];
-      const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
-      kernel.row(i, neigh.data() + b, e - b, KeepAll{}, work);
-    }
+  const std::shared_ptr<const void>& list = nbl.identity();
+  if (stride == 1 || !list) {
+    work = evaluate_shard(topo, box, pos, nbl, opts, pt, forces, shard,
+                          stride);
   } else {
-    for (int i = shard; i < topo.natoms(); i += stride) {
-      const std::size_t b = offsets[static_cast<std::size_t>(i)];
-      const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
-      for (std::size_t t = b; t < e; ++t) {
-        accumulate_pair(pt, box, pos, opts, i, neigh[t], forces, work);
-        ++work.pairs_listed;
-      }
+    const std::array<std::uint64_t, 13> scalars{
+        std::bit_cast<std::uint64_t>(opts.cutoff),
+        std::bit_cast<std::uint64_t>(opts.switch_on),
+        std::bit_cast<std::uint64_t>(opts.beta),
+        std::bit_cast<std::uint64_t>(box.lx()),
+        std::bit_cast<std::uint64_t>(box.ly()),
+        std::bit_cast<std::uint64_t>(box.lz()),
+        static_cast<std::uint64_t>(opts.elec),
+        static_cast<std::uint64_t>(opts.kernel),
+        static_cast<std::uint64_t>(shard),
+        static_cast<std::uint64_t>(stride),
+        static_cast<std::uint64_t>(topo.natoms()),
+        static_cast<std::uint64_t>(pt.ntypes),
+        reinterpret_cast<std::uintptr_t>(list.get())};
+    // `forces` is keyed as it comes in: the kernel accumulates into a copy.
+    const util::MemoKey key{
+        util::key_bytes(scalars),   util::key_bytes(pos),
+        util::key_bytes(forces),    util::key_bytes(pt.type_of),
+        util::key_bytes(pt.charge), util::key_bytes(pt.eps),
+        util::key_bytes(pt.rmin)};
+    std::shared_ptr<const ShardResult> stored = pair_memo().find(key);
+    if (!stored) {
+      ShardResult fresh{forces, {}, list};
+      fresh.work = evaluate_shard(topo, box, pos, nbl, opts, pt, fresh.forces,
+                                  shard, stride);
+      stored = pair_memo().insert(key, std::move(fresh));
     }
+    forces = stored->forces;
+    work = stored->work;
   }
   energy.lj += work.lj;
   energy.elec += work.elec;
   return work;
 }
+
+std::uint64_t pair_memo_hits() { return pair_memo().hits(); }
+
+std::uint64_t pair_memo_misses() { return pair_memo().misses(); }
 
 NonbondedWork nonbonded_energy_blocked(const Topology& topo, const Box& box,
                                        const std::vector<Vec3>& pos,

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -71,6 +72,15 @@ struct NonbondedWork {
 
 // Evaluates the shard's share of the pair list (i-atoms with
 // i % stride == shard), accumulating into forces/energy.
+//
+// Sharded calls (stride > 1) on a build() list go through an exact-input
+// memo (util/memo.hpp, nonbonded.cpp): the replicated ranks of a factorial
+// sweep repeat the same calls cell after cell. The key is every input the
+// kernel reads (options, box, shard/stride, positions, incoming forces,
+// the pair table's bytes and the list's identity()). A hit copies out the
+// stored forces and work and adds work.lj / work.elec to energy exactly as
+// the kernel does, so it is byte-identical to evaluating. stride == 1
+// calls and build_subset() lists (no identity) always evaluate.
 NonbondedWork nonbonded_energy(const Topology& topo, const Box& box,
                                const std::vector<util::Vec3>& pos,
                                const NeighborList& nbl,
@@ -78,6 +88,11 @@ NonbondedWork nonbonded_energy(const Topology& topo, const Box& box,
                                std::vector<util::Vec3>& forces,
                                EnergyTerms& energy, int shard = 0,
                                int stride = 1);
+
+// Lookups of the sharded pair memo since process start that hit / missed
+// (tests assert the memo is used through these; no result depends on them).
+std::uint64_t pair_memo_hits();
+std::uint64_t pair_memo_misses();
 
 // Force-decomposition variant: evaluates pair (i, j) of the list iff
 // (block[i] + block[j]) % nowners == owner, where block[] maps each atom

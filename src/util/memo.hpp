@@ -88,24 +88,44 @@ class ExactMemo {
   std::shared_ptr<const Value> find(const MemoKey& key) const {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Entry& e : entries_) {
-      if (e.hash == key.hash_ && matches(e, key)) return e.value;
+      if (e.hash == key.hash_ && matches(e, key)) {
+        ++hits_;
+        return e.value;
+      }
     }
+    ++misses_;
     return nullptr;
   }
 
   // Stores `value` under a copy of the key bytes, evicting the oldest
-  // entry at capacity.
-  void insert(const MemoKey& key, Value value) {
+  // entry at capacity, and returns the stored value.
+  std::shared_ptr<const Value> insert(const MemoKey& key, Value value) {
     Entry e;
     e.hash = key.hash_;
     e.value = std::make_shared<const Value>(std::move(value));
+    std::size_t nbytes = 0;
+    for (const auto& s : key.spans_) nbytes += s.size();
+    e.sizes.reserve(key.spans_.size());
+    e.bytes.reserve(nbytes);  // exactly the key: entries stay resident
     for (const auto& s : key.spans_) {
       e.sizes.push_back(s.size());
       e.bytes.insert(e.bytes.end(), s.begin(), s.end());
     }
+    std::shared_ptr<const Value> stored = e.value;
     std::lock_guard<std::mutex> lock(mu_);
     if (entries_.size() >= capacity_) entries_.pop_front();
     entries_.push_back(std::move(e));
+    return stored;
+  }
+
+  std::uint64_t hits() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return hits_;
+  }
+
+  std::uint64_t misses() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return misses_;
   }
 
  private:
@@ -134,6 +154,8 @@ class ExactMemo {
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::deque<Entry> entries_;
+  mutable std::uint64_t hits_ = 0;    // guarded by mu_
+  mutable std::uint64_t misses_ = 0;  // guarded by mu_
 };
 
 }  // namespace repro::util

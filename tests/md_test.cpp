@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <numbers>
 #include <string>
 
@@ -491,6 +493,179 @@ TEST(NonbondedTest, ShardsPartitionPairs) {
   EXPECT_EQ(pairs, wfull.pairs_listed);
   EXPECT_NEAR(eacc.lj, efull.lj, 1e-9);
   EXPECT_NEAR(eacc.elec, efull.elec, 1e-9);
+}
+
+// --- sharded pair memo -------------------------------------------------------
+
+// One nonbonded_energy call's full output, compared byte for byte.
+struct PairCall {
+  std::vector<Vec3> forces;
+  EnergyTerms energy;
+  NonbondedWork work;
+};
+
+bool same_bytes(const PairCall& a, const PairCall& b) {
+  return a.forces.size() == b.forces.size() &&
+         std::memcmp(a.forces.data(), b.forces.data(),
+                     a.forces.size() * sizeof(Vec3)) == 0 &&
+         std::memcmp(&a.energy, &b.energy, sizeof(EnergyTerms)) == 0 &&
+         std::memcmp(&a.work, &b.work, sizeof(NonbondedWork)) == 0;
+}
+
+class PairMemoTest : public ::testing::Test {
+ protected:
+  // Each test shifts the water box by its own offset, so no test can hit
+  // entries another one left in the process-wide memos.
+  void SetUp() override {
+    static double next_shift = 0.0;
+    next_shift += 1e-3;
+    for (auto& x : sys_.positions) x = x + Vec3{next_shift, 0.0, 0.0};
+    opts_.cutoff = 5.0;
+    opts_.switch_on = 4.0;
+    opts_.elec = NonbondedOptions::Elec::kEwaldDirect;
+    opts_.beta = 0.4;
+    opts_.table = build_pair_table(sys_.topo);
+    incoming_.resize(static_cast<std::size_t>(sys_.topo.natoms()));
+    for (std::size_t i = 0; i < incoming_.size(); ++i) {
+      const double v = static_cast<double>(i);
+      incoming_[i] = Vec3{0.5 * v, -0.25 * v, 1.0 / (v + 1.0)};
+    }
+  }
+
+  // A nonbonded_energy call on non-zero incoming forces and energies, so
+  // a hit has to reproduce the accumulation, not just the contribution.
+  PairCall call(const NeighborList& nbl, const std::vector<Vec3>& pos,
+                const std::vector<Vec3>& incoming,
+                const NonbondedOptions& opts, int shard, int stride) const {
+    PairCall out{incoming, {}, {}};
+    out.energy.lj = 1.25;
+    out.energy.elec = -3.5;
+    out.work = nonbonded_energy(sys_.topo, sys_.box, pos, nbl, opts,
+                                out.forces, out.energy, shard, stride);
+    return out;
+  }
+
+  // The same call evaluated with the memo out of the way: a build_subset()
+  // list over every atom holds build()'s exact arrays but has no identity.
+  PairCall cold(const std::vector<Vec3>& pos,
+                const std::vector<Vec3>& incoming,
+                const NonbondedOptions& opts, int shard, int stride) const {
+    NeighborList subset(opts.cutoff, kSkin);
+    std::vector<int> all(static_cast<std::size_t>(sys_.topo.natoms()));
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+    subset.build_subset(sys_.topo, sys_.box, sys_.positions, all,
+                        std::vector<std::uint8_t>(all.size(), 1));
+    return call(subset, pos, incoming, opts, shard, stride);
+  }
+
+  static constexpr double kSkin = 1.0;
+  sysbuild::BuiltSystem sys_ = sysbuild::build_water_box(4);
+  NonbondedOptions opts_;
+  std::vector<Vec3> incoming_;
+};
+
+TEST_F(PairMemoTest, HitIsByteIdenticalToColdEvaluation) {
+  NeighborList nbl(opts_.cutoff, kSkin);
+  nbl.build(sys_.topo, sys_.box, sys_.positions);
+  ASSERT_NE(nbl.identity(), nullptr);
+  for (util::KernelKind kernel :
+       {util::KernelKind::kScalar, util::KernelKind::kSimd}) {
+    NonbondedOptions opts = opts_;
+    opts.kernel = kernel;
+    const PairCall want = cold(sys_.positions, incoming_, opts, 1, 3);
+    ASSERT_GT(want.work.pairs_in_cutoff, 0u);
+    const std::uint64_t hits = pair_memo_hits();
+    const std::uint64_t misses = pair_memo_misses();
+    const PairCall first = call(nbl, sys_.positions, incoming_, opts, 1, 3);
+    EXPECT_EQ(pair_memo_misses(), misses + 1);
+    const PairCall second = call(nbl, sys_.positions, incoming_, opts, 1, 3);
+    EXPECT_EQ(pair_memo_hits(), hits + 1);
+    EXPECT_TRUE(same_bytes(first, want));
+    EXPECT_TRUE(same_bytes(second, want));
+  }
+}
+
+TEST_F(PairMemoTest, AnyChangedInputMissesAndComputesTheRightAnswer) {
+  NeighborList nbl(opts_.cutoff, kSkin);
+  nbl.build(sys_.topo, sys_.box, sys_.positions);
+  call(nbl, sys_.positions, incoming_, opts_, 0, 2);  // the stored entry
+
+  std::vector<Vec3> pos = sys_.positions;
+  pos[7].x = std::nextafter(pos[7].x, 100.0);
+  std::vector<Vec3> incoming = incoming_;
+  incoming[3].y = std::nextafter(incoming[3].y, 100.0);
+  auto table = std::make_shared<PairTable>(*opts_.table);
+  table->charge[5] *= 0.5;
+  NonbondedOptions recharged = opts_;
+  recharged.table = table;
+
+  struct Variant {
+    const char* what;
+    const std::vector<Vec3>& pos;
+    const std::vector<Vec3>& incoming;
+    const NonbondedOptions& opts;
+    int shard, stride;
+  };
+  for (const Variant& v : {
+           Variant{"one-ulp position", pos, incoming_, opts_, 0, 2},
+           Variant{"one-ulp incoming force", sys_.positions, incoming, opts_,
+                   0, 2},
+           Variant{"another shard", sys_.positions, incoming_, opts_, 1, 2},
+           Variant{"another stride", sys_.positions, incoming_, opts_, 0, 3},
+           Variant{"one changed charge", sys_.positions, incoming_,
+                   recharged, 0, 2},
+       }) {
+    const std::uint64_t hits = pair_memo_hits();
+    const std::uint64_t misses = pair_memo_misses();
+    const PairCall got = call(nbl, v.pos, v.incoming, v.opts, v.shard,
+                              v.stride);
+    EXPECT_EQ(pair_memo_hits(), hits) << v.what;
+    EXPECT_EQ(pair_memo_misses(), misses + 1) << v.what;
+    EXPECT_TRUE(same_bytes(got, cold(v.pos, v.incoming, v.opts, v.shard,
+                                     v.stride)))
+        << v.what;
+  }
+}
+
+TEST_F(PairMemoTest, ListRebuiltAfterBuildMemoEvictionMisses) {
+  NeighborList first(opts_.cutoff, kSkin);
+  first.build(sys_.topo, sys_.box, sys_.positions);
+  const PairCall want = call(first, sys_.positions, incoming_, opts_, 1, 2);
+
+  // More distinct builds than the build memo holds push the entry out.
+  for (int k = 1; k <= 16; ++k) {
+    std::vector<Vec3> moved = sys_.positions;
+    moved[0].x += 1e-6 * k;
+    NeighborList other(opts_.cutoff, kSkin);
+    other.build(sys_.topo, sys_.box, moved);
+  }
+  NeighborList rebuilt(opts_.cutoff, kSkin);
+  rebuilt.build(sys_.topo, sys_.box, sys_.positions);
+  ASSERT_NE(rebuilt.identity(), first.identity());
+  ASSERT_EQ(rebuilt.neighbors(), first.neighbors());
+
+  const std::uint64_t hits = pair_memo_hits();
+  const std::uint64_t misses = pair_memo_misses();
+  const PairCall got = call(rebuilt, sys_.positions, incoming_, opts_, 1, 2);
+  EXPECT_EQ(pair_memo_hits(), hits);
+  EXPECT_EQ(pair_memo_misses(), misses + 1);
+  EXPECT_TRUE(same_bytes(got, want));
+  EXPECT_TRUE(same_bytes(got, cold(sys_.positions, incoming_, opts_, 1, 2)));
+}
+
+TEST_F(PairMemoTest, SubsetListsAndStrideOneBypassTheMemo) {
+  NeighborList nbl(opts_.cutoff, kSkin);
+  nbl.build(sys_.topo, sys_.box, sys_.positions);
+  const std::uint64_t hits = pair_memo_hits();
+  const std::uint64_t misses = pair_memo_misses();
+  const PairCall subset = cold(sys_.positions, incoming_, opts_, 0, 2);
+  for (int rep = 0; rep < 2; ++rep) {
+    const PairCall whole = call(nbl, sys_.positions, incoming_, opts_, 0, 1);
+    EXPECT_TRUE(same_bytes(whole, cold(sys_.positions, incoming_, opts_, 0, 1)));
+    EXPECT_TRUE(same_bytes(subset, cold(sys_.positions, incoming_, opts_, 0, 2)));
+  }
+  EXPECT_EQ(pair_memo_hits(), hits);
+  EXPECT_EQ(pair_memo_misses(), misses);
 }
 
 // --- integrator ----------------------------------------------------------------

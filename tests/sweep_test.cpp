@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "core/sweep.hpp"
+#include "md/nonbonded.hpp"
 #include "perf/metrics.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
@@ -114,6 +116,46 @@ TEST(SweepRunnerTest, ProgressCoversEveryCell) {
   EXPECT_EQ(*seen_done.rbegin(), specs.size());
   EXPECT_EQ(seen_procs, (std::set<int>{1, 2, 4}));
   ASSERT_EQ(outcomes.size(), specs.size());
+}
+
+TEST(SweepRunnerTest, WorkersShareThePairMemoExactly) {
+  // Four cells of one trajectory: the same p and middleware on different
+  // networks and CPUs per node, which change simulated time but never the
+  // arithmetic. A switch_on no other test uses keeps the trajectory's
+  // pair-memo keys fresh.
+  std::vector<ExperimentSpec> specs;
+  for (net::Network network :
+       {net::Network::kTcpGigE, net::Network::kScoreGigE}) {
+    for (int cpus : {1, 2}) {
+      ExperimentSpec spec = small_spec(network, 2);
+      spec.platform.cpus_per_node = cpus;
+      spec.charmm.switch_on = 7.0;
+      specs.push_back(spec);
+    }
+  }
+  const std::uint64_t hits = md::pair_memo_hits();
+  const auto par = SweepRunner(2).run(small_system(), specs);
+  // The third and fourth cells start only after one of the first two has
+  // finished, so they find that cell's shard calls stored, whichever
+  // worker stored them.
+  EXPECT_GT(md::pair_memo_hits(), hits);
+  const auto seq = SweepRunner(1).run(small_system(), specs);
+  ASSERT_EQ(par.size(), specs.size());
+  ASSERT_EQ(seq.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(par[i].ok()) << par[i].error;
+    ASSERT_TRUE(seq[i].ok()) << seq[i].error;
+    EXPECT_EQ(par[i].result.energy.potential(),
+              par[0].result.energy.potential());
+    EXPECT_EQ(par[i].result.position_checksum,
+              par[0].result.position_checksum);
+    EXPECT_EQ(seq[i].result.energy.potential(),
+              par[i].result.energy.potential());
+    EXPECT_EQ(seq[i].result.position_checksum,
+              par[i].result.position_checksum);
+    EXPECT_EQ(perf::metrics_json(seq[i].result.metrics),
+              perf::metrics_json(par[i].result.metrics));
+  }
 }
 
 TEST(SweepRunnerTest, MoreJobsThanCells) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <barrier>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -238,9 +239,10 @@ std::shared_ptr<const std::vector<double>> find(const Memo& memo,
   return memo.find(MemoKey{key_bytes(a), key_bytes(b)});
 }
 
-void insert(Memo& memo, const std::vector<double>& a,
-            const std::vector<int>& b, std::vector<double> value) {
-  memo.insert(MemoKey{key_bytes(a), key_bytes(b)}, std::move(value));
+std::shared_ptr<const std::vector<double>> insert(
+    Memo& memo, const std::vector<double>& a, const std::vector<int>& b,
+    std::vector<double> value) {
+  return memo.insert(MemoKey{key_bytes(a), key_bytes(b)}, std::move(value));
 }
 
 TEST(ExactMemoTest, RepeatKeyHitsWithTheStoredValue) {
@@ -248,10 +250,13 @@ TEST(ExactMemoTest, RepeatKeyHitsWithTheStoredValue) {
   const std::vector<double> a{1.5, -2.25};
   const std::vector<int> b{7, 8, 9};
   EXPECT_EQ(find(memo, a, b), nullptr);
-  insert(memo, a, b, {3.0, 4.0});
+  const auto stored = insert(memo, a, b, {3.0, 4.0});
   const auto hit = find(memo, std::vector<double>(a), std::vector<int>(b));
   ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, stored);
   EXPECT_EQ(*hit, (std::vector<double>{3.0, 4.0}));
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.misses(), 1u);
 }
 
 TEST(ExactMemoTest, AnyByteOrLengthDifferenceMisses) {
@@ -310,9 +315,11 @@ TEST(ExactMemoTest, EvictsOldestFirstAndHeldValuesOutliveEviction) {
 }
 
 TEST(ExactMemoTest, ConcurrentFindInsertReturnsExactValues) {
-  // Fewer slots than keys, so threads also race evictions.
-  Memo memo(16);
+  // Fewer slots than keys, so the second phase also races evictions.
+  constexpr int kSlots = 16;
   constexpr int kKeys = 48;
+  constexpr int kThreads = 4;
+  Memo memo(kSlots);
   const auto value_of = [](int k) {
     std::vector<double> v(64);
     for (std::size_t i = 0; i < v.size(); ++i) {
@@ -320,32 +327,56 @@ TEST(ExactMemoTest, ConcurrentFindInsertReturnsExactValues) {
     }
     return v;
   };
+  const auto key_of = [](int k) { return std::vector<double>{1.0 * k}; };
+  const auto tag_of = [](int k) { return std::vector<int>{k, -k}; };
+  for (int k = 0; k < kSlots; ++k) {
+    insert(memo, key_of(k), tag_of(k), value_of(k));
+  }
+
   std::atomic<int> hits{0};
   std::atomic<int> wrong{0};
+  std::atomic<int> phase1_misses{0};
+  std::atomic<int> phase2_misses{0};
+  const auto hit_exact = [&](int k) {
+    const auto hit = find(memo, key_of(k), tag_of(k));
+    if (!hit) return false;
+    ++hits;
+    const std::vector<double> want = value_of(k);
+    if (hit->size() != want.size() ||
+        std::memcmp(hit->data(), want.data(), want.size() * sizeof(double)) !=
+            0) {
+      ++wrong;
+    }
+    return true;
+  };
+  std::barrier sync(kThreads);
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      sync.arrive_and_wait();  // everyone starts together
+      // Phase 1: finds only, over a key set no larger than the memo, so
+      // nothing is evicted and every lookup must hit.
+      for (int i = 0; i < 500; ++i) {
+        if (!hit_exact((i * 7 + t * 13) % kSlots)) ++phase1_misses;
+      }
+      sync.arrive_and_wait();  // no insert before every phase-1 find
+      // Phase 2: find-or-insert over more keys than slots.
       for (int i = 0; i < 2000; ++i) {
         const int k = (i * 7 + t * 13) % kKeys;
-        const std::vector<double> key{static_cast<double>(k)};
-        const std::vector<int> tag{k, -k};
-        if (const auto hit = find(memo, key, tag)) {
-          ++hits;
-          const std::vector<double> want = value_of(k);
-          if (hit->size() != want.size() ||
-              std::memcmp(hit->data(), want.data(),
-                          want.size() * sizeof(double)) != 0) {
-            ++wrong;
-          }
-        } else {
-          insert(memo, key, tag, value_of(k));
+        if (!hit_exact(k)) {
+          ++phase2_misses;
+          insert(memo, key_of(k), tag_of(k), value_of(k));
         }
       }
     });
   }
   for (std::thread& th : threads) th.join();
+  EXPECT_EQ(phase1_misses.load(), 0);
   EXPECT_GT(hits.load(), 0);
   EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(hits.load()));
+  EXPECT_EQ(memo.misses(),
+            static_cast<std::uint64_t>(phase1_misses + phase2_misses));
 }
 
 // --- strict number parsing ---------------------------------------------------
