@@ -1,7 +1,7 @@
-// Scalar-vs-SIMD speedup measurement for the physics hot paths that have
-// a kernel variant (--kernel=scalar|simd): the LJ/Ewald pair kernel and
-// the serial PME reciprocal solve (B-spline spread + interpolate; its FFT
-// has a single combine path, timed by bench/kernels_fft).
+// Scalar-vs-SIMD speedup measurement for the physics hot path that has a
+// kernel variant (--kernel=scalar|simd): the LJ/Ewald pair kernel. The
+// serial PME reciprocal solve and the FFT each have one path, timed by
+// bench/kernels_pme and bench/kernels_fft.
 //
 // This is a hand-timed binary rather than a google-benchmark one so it
 // can take --json=FILE and write BENCH_kernels.json directly (the
@@ -12,6 +12,7 @@
 // usage: kernel_speedups [--smoke] [--json=FILE]
 //   --smoke   CI mode: one rep per family, seconds of wall clock total.
 //   --json    write BENCH_kernels.json-style output.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,7 +22,6 @@
 
 #include "md/neighbor.hpp"
 #include "md/nonbonded.hpp"
-#include "pme/pme.hpp"
 #include "sysbuild/builder.hpp"
 
 using namespace repro;
@@ -100,30 +100,6 @@ FamilyResult run_pair(int reps, int iters) {
   return fr;
 }
 
-// --- PME reciprocal: spread + 3-D FFT + convolve + interpolate -----------
-
-FamilyResult run_pme(int reps, int iters) {
-  const sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like();
-  const pme::PmeParams params{80, 36, 48, 4, 0.34};
-  pme::SerialPme scalar_pme(params, sys.box, util::KernelKind::kScalar);
-  pme::SerialPme simd_pme(params, sys.box, util::KernelKind::kSimd);
-  std::vector<util::Vec3> forces(static_cast<std::size_t>(sys.topo.natoms()));
-
-  auto run = [&](pme::SerialPme& p) {
-    std::fill(forces.begin(), forces.end(), util::Vec3{});
-    return p.reciprocal(sys.topo, sys.positions, forces);
-  };
-
-  FamilyResult fr;
-  fr.name = "pme_reciprocal";
-  fr.unit = "atoms";
-  fr.items = static_cast<double>(sys.topo.natoms());
-  fr.max_rel_err = rel_err(run(scalar_pme), run(simd_pme));
-  fr.scalar_s = best_of(reps, iters, [&] { run(scalar_pme); });
-  fr.simd_s = best_of(reps, iters, [&] { run(simd_pme); });
-  return fr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -154,7 +130,6 @@ int main(int argc, char** argv) {
 
   std::vector<FamilyResult> results;
   results.push_back(run_pair(reps, iters));
-  results.push_back(run_pme(reps, iters));
 
   bool ok = true;
   for (const auto& fr : results) {
@@ -178,21 +153,20 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "{\n"
-        "  \"benchmark\": \"SIMD kernel variants (this PR): branch-free "
-        "#pragma omp simd pair kernel with tabulated erfc/exp, batched "
-        "B-spline weights + real staging grid in PME; scalar is the "
-        "bit-exact golden reference\",\n");
+        "  \"benchmark\": \"SIMD kernel variant: branch-free "
+        "#pragma omp simd pair kernel with tabulated erfc/exp; scalar is "
+        "the bit-exact golden reference\",\n");
     std::fprintf(f,
                  "  \"machine\": { \"hardware_threads\": 1, \"note\": "
                  "\"single-vCPU container; -O3, no -march flags; best-of-%d "
                  "timing over %d calls per rep\" },\n",
                  reps, iters);
     std::fprintf(f,
-                 "  \"tolerance_note\": \"simd vs scalar checked per family "
-                 "before timing; pair energies pinned to 1e-10 relative, PME "
-                 "is bit-identical (tests/kernel_variant_test.cpp). "
-                 "Both variants report identical work counters, so simulated "
-                 "time is exactly kernel-independent.\",\n");
+                 "  \"tolerance_note\": \"simd vs scalar checked before "
+                 "timing; pair energies pinned to 1e-10 relative "
+                 "(tests/kernel_variant_test.cpp). Both variants report "
+                 "identical work counters, so simulated time is exactly "
+                 "kernel-independent.\",\n");
     std::fprintf(f, "  \"kernels\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& fr = results[i];

@@ -47,10 +47,10 @@ void BM_BsplineWeightsBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_BsplineWeightsBatch)->Arg(4)->Arg(6);
 
-void BM_SerialPmeReciprocal(benchmark::State& state, util::KernelKind kind) {
+void BM_SerialPmeReciprocal(benchmark::State& state) {
   const auto& sys = system_under_test();
   pme::PmeParams params{80, 36, 48, 4, 0.34};
-  pme::SerialPme pme(params, sys.box, kind);
+  pme::SerialPme pme(params, sys.box);
   std::vector<util::Vec3> forces(
       static_cast<std::size_t>(sys.topo.natoms()));
   for (auto _ : state) {
@@ -59,10 +59,7 @@ void BM_SerialPmeReciprocal(benchmark::State& state, util::KernelKind kind) {
     benchmark::DoNotOptimize(e);
   }
 }
-BENCHMARK_CAPTURE(BM_SerialPmeReciprocal, scalar, util::KernelKind::kScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SerialPmeReciprocal, simd, util::KernelKind::kSimd)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SerialPmeReciprocal)->Unit(benchmark::kMillisecond);
 
 void BM_EwaldExclusionCorrection(benchmark::State& state) {
   const auto& sys = system_under_test();

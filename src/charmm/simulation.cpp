@@ -21,7 +21,7 @@ Simulation::Simulation(const sysbuild::BuiltSystem& sys,
     : sys_(sys),
       config_(config),
       nbl_(config.cutoff, config.skin),
-      pme_(config.pme, sys.box, config.kernel),
+      pme_(config.pme, sys.box),
       integrator_(config.dt_ps),
       pos_(sys.positions),
       vel_(sys.positions.size()),

@@ -1,8 +1,8 @@
 #include "fft/fft.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -10,12 +10,13 @@ namespace repro::fft {
 
 namespace {
 
-// Factor n into small radixes (largest useful radix first keeps recursion
-// shallow). Returns empty when a prime factor > 31 remains, signalling the
-// Bluestein path.
+// Factor n into the radixes the passes implement. Radix 4 comes first: one
+// radix-4 pass does the work of two radix-2 passes in fewer operations.
+// Returns empty when a prime factor > 31 remains, signalling the Bluestein
+// path.
 std::vector<std::size_t> factorize(std::size_t n) {
   std::vector<std::size_t> factors;
-  for (std::size_t radix : {8, 4, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}) {
+  for (std::size_t radix : {4, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}) {
     while (n % radix == 0) {
       factors.push_back(radix);
       n /= radix;
@@ -32,7 +33,138 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
+constexpr std::size_t kMaxRadix = 31;
+
+// (cos, sin) of 2 pi k / n, evaluated in long double so each stored
+// double is the root rounded once rather than the cosine of a rounded
+// double angle.
+std::pair<double, double> unit_root(std::size_t k, std::size_t n) {
+  const long double angle = 2.0L * std::numbers::pi_v<long double> *
+                            static_cast<long double>(k) /
+                            static_cast<long double>(n);
+  return {static_cast<double>(std::cos(angle)),
+          static_cast<double>(std::sin(angle))};
+}
+
+// In-place forward butterflies on r values (re[j], im[j]): afterwards
+// slot k holds sum_j W_r^{jk} a_j with W_r = exp(-2 pi i / r).
+inline void butterfly2(double* re, double* im) {
+  const double r0 = re[0], i0 = im[0];
+  re[0] = r0 + re[1];
+  im[0] = i0 + im[1];
+  re[1] = r0 - re[1];
+  im[1] = i0 - im[1];
+}
+
+inline void butterfly4(double* re, double* im) {
+  const double t0r = re[0] + re[2], t0i = im[0] + im[2];
+  const double t1r = re[0] - re[2], t1i = im[0] - im[2];
+  const double t2r = re[1] + re[3], t2i = im[1] + im[3];
+  const double t3r = re[1] - re[3], t3i = im[1] - im[3];
+  re[0] = t0r + t2r;
+  im[0] = t0i + t2i;
+  re[2] = t0r - t2r;
+  im[2] = t0i - t2i;
+  // W_4 = -i: slot 1 is t1 - i t3, slot 3 is t1 + i t3.
+  re[1] = t1r + t3i;
+  im[1] = t1i - t3r;
+  re[3] = t1r - t3i;
+  im[3] = t1i + t3r;
+}
+
+// Odd r: pairs j and r - j share a cosine and flip a sine, so with
+// s_j = a_j + a_{r-j} and d_j = a_j - a_{r-j} (j = 1..h, h = (r-1)/2)
+//   X_k, X_{r-k} = a_0 + sum_j cos(2 pi jk/r) s_j  -/+  i sum_j sin(..) d_j
+// which halves the multiplies of the plain r-point sum. `cs` holds
+// (cos, sin) of 2 pi t / r for t in [0, r). R > 0 fixes r at compile time
+// (the radix-3 and radix-5 butterflies); R == 0 reads it from `r`.
+template <std::size_t R>
+inline void butterfly_odd(double* re, double* im, std::size_t r,
+                          const double* cs) {
+  if constexpr (R != 0) r = R;
+  const std::size_t h = (r - 1) / 2;
+  double sr[kMaxRadix / 2], si[kMaxRadix / 2];
+  double dr[kMaxRadix / 2], di[kMaxRadix / 2];
+  for (std::size_t j = 1; j <= h; ++j) {
+    sr[j - 1] = re[j] + re[r - j];
+    si[j - 1] = im[j] + im[r - j];
+    dr[j - 1] = re[j] - re[r - j];
+    di[j - 1] = im[j] - im[r - j];
+  }
+  const double a0r = re[0], a0i = im[0];
+  double x0r = a0r, x0i = a0i;
+  for (std::size_t j = 0; j < h; ++j) {
+    x0r += sr[j];
+    x0i += si[j];
+  }
+  re[0] = x0r;
+  im[0] = x0i;
+  for (std::size_t k = 1; k <= h; ++k) {
+    double pr = a0r, pi = a0i, qr = 0.0, qi = 0.0;
+    std::size_t t = 0;  // j * k mod r
+    for (std::size_t j = 0; j < h; ++j) {
+      t += k;
+      if (t >= r) t -= r;
+      const double c = cs[2 * t], s = cs[2 * t + 1];
+      pr += c * sr[j];
+      pi += c * si[j];
+      qr += s * dr[j];
+      qi += s * di[j];
+    }
+    re[k] = pr + qi;
+    im[k] = pi - qr;
+    re[r - k] = pr - qi;
+    im[r - k] = pi + qr;
+  }
+}
+
 }  // namespace
+
+// One Cooley-Tukey pass over `blocks` consecutive blocks of n = r*m
+// complex values (interleaved re/im). Within a block, sub-transform j
+// occupies entries [j*m, (j+1)*m); output k2 + m*k1 is the r-point DFT
+// over j of W_n^{j*k2} * sub_j[k2]. Leaf passes (m == 1) skip the
+// twiddles, which are all W^0 there.
+template <std::size_t R>
+void Fft1D::pass(const Level& lvl, std::size_t blocks, const double* in,
+                 double* out) {
+  const std::size_t r = R != 0 ? R : lvl.r;
+  const std::size_t m = lvl.m;
+  const double* tw = lvl.tw.data();
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const double* src = in + 2 * b * r * m;
+    double* dst = out + 2 * b * r * m;
+    for (std::size_t k2 = 0; k2 < m; ++k2) {
+      double re[kMaxRadix], im[kMaxRadix];
+      re[0] = src[2 * k2];
+      im[0] = src[2 * k2 + 1];
+      for (std::size_t j = 1; j < r; ++j) {
+        const double xr = src[2 * (j * m + k2)];
+        const double xi = src[2 * (j * m + k2) + 1];
+        if (m == 1) {
+          re[j] = xr;
+          im[j] = xi;
+        } else {
+          const double wr = tw[2 * ((j - 1) * m + k2)];
+          const double wi = tw[2 * ((j - 1) * m + k2) + 1];
+          re[j] = xr * wr - xi * wi;
+          im[j] = xr * wi + xi * wr;
+        }
+      }
+      if constexpr (R == 2) {
+        butterfly2(re, im);
+      } else if constexpr (R == 4) {
+        butterfly4(re, im);
+      } else {
+        butterfly_odd<R>(re, im, r, lvl.cs.data());
+      }
+      for (std::size_t k1 = 0; k1 < r; ++k1) {
+        dst[2 * (k1 * m + k2)] = re[k1];
+        dst[2 * (k1 * m + k2) + 1] = im[k1];
+      }
+    }
+  }
+}
 
 struct Fft1D::BluesteinPlan {
   explicit BluesteinPlan(std::size_t n)
@@ -41,9 +173,8 @@ struct Fft1D::BluesteinPlan {
     // identity jk = (j^2 + k^2 - (k-j)^2) / 2.
     for (std::size_t k = 0; k < n; ++k) {
       // k^2 mod 2n keeps the angle argument small for large n.
-      const auto k2 = static_cast<double>((k * k) % (2 * n));
-      const double angle = std::numbers::pi * k2 / static_cast<double>(n);
-      chirp[k] = Complex(std::cos(angle), -std::sin(angle));
+      const auto [c, s] = unit_root((k * k) % (2 * n), 2 * n);
+      chirp[k] = Complex(c, -s);
     }
     // b[j] = conj(chirp[|j|]) zero-padded and wrapped, pre-transformed.
     std::vector<Complex> b(m, Complex(0, 0));
@@ -80,46 +211,50 @@ Fft1D::Fft1D(std::size_t n) : n_(n) {
     blue_ = std::make_shared<BluesteinPlan>(n);
     return;
   }
-  // Root table W_n^k = exp(-2 pi i k / n); every level entry is a copy of
-  // one of these values (or its conjugate, which only flips a sign bit).
-  std::vector<Complex> twiddle(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double angle =
-        -2.0 * std::numbers::pi * static_cast<double>(k) /
-        static_cast<double>(n);
-    twiddle[k] = Complex(std::cos(angle), std::sin(angle));
-  }
-  // A level of size n' takes the first radix in factorize()'s order that
-  // divides it; W_{n'}^t == W_n^{t * n/n'}.
+  // Level 0 is the whole transform; each level's sub-transforms are the
+  // next level, taking the radixes in factorize()'s order.
   std::size_t level_n = n;
-  while (level_n > 1) {
-    std::size_t r = 0;
-    for (std::size_t f : factors) {
-      if (level_n % f == 0) {
-        r = f;
-        break;
-      }
-    }
-    REPRO_REQUIRE(r != 0, "internal: lost radix during FFT table build");
+  for (const std::size_t r : factors) {
     Level lvl;
     lvl.n = level_n;
     lvl.r = r;
     lvl.m = level_n / r;
-    lvl.fwd.resize(2 * r * level_n);
-    lvl.inv.resize(2 * r * level_n);
-    const std::size_t tw_step = n / level_n;
-    for (std::size_t j = 0; j < r; ++j) {
-      for (std::size_t k = 0; k < level_n; ++k) {
-        const Complex w = twiddle[(j * k) % level_n * tw_step];
-        const std::size_t at = 2 * (j * level_n + k);
-        lvl.fwd[at] = w.real();
-        lvl.fwd[at + 1] = w.imag();
-        lvl.inv[at] = w.real();
-        lvl.inv[at + 1] = -w.imag();
+    // tw[(j-1)*m + k2] = W_{n'}^{j*k2}; j*k2 < n' needs no reduction.
+    if (lvl.m > 1) {
+      lvl.tw.resize(2 * (r - 1) * lvl.m);
+      for (std::size_t j = 1; j < r; ++j) {
+        for (std::size_t k2 = 0; k2 < lvl.m; ++k2) {
+          const auto [c, s] = unit_root(j * k2, level_n);
+          const std::size_t at = 2 * ((j - 1) * lvl.m + k2);
+          lvl.tw[at] = c;
+          lvl.tw[at + 1] = -s;
+        }
+      }
+    }
+    if (r % 2 == 1) {
+      lvl.cs.resize(2 * r);
+      for (std::size_t t = 0; t < r; ++t) {
+        const auto [c, s] = unit_root(t, r);
+        lvl.cs[2 * t] = c;
+        lvl.cs[2 * t + 1] = s;
       }
     }
     levels_.push_back(std::move(lvl));
     level_n /= r;
+  }
+  // Mixed-radix digit reversal: position p's digits (which sub-transform
+  // it sits in at each level, weighted by the sub-transform sizes m) are
+  // reread against the input strides 1, r0, r0*r1, ... at which those
+  // sub-transforms take their elements.
+  perm_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::size_t rest = p, idx = 0, stride = 1;
+    for (const Level& lvl : levels_) {
+      idx += rest / lvl.m * stride;
+      rest %= lvl.m;
+      stride *= lvl.r;
+    }
+    perm_[p] = idx;
   }
 }
 
@@ -145,79 +280,45 @@ void Fft1D::transform(Complex* data, bool inverse) const {
     bluestein(data, inverse);
     return;
   }
-  // Persistent per-thread scratch: transform() runs once per grid pencil,
-  // so per-call allocation dominated small-n transforms. combine() writes
-  // each sub-result fully before reading it, and the only nested transform
-  // (Bluestein's helper) uses its own buffer, so reuse is safe.
-  static thread_local std::vector<double> out_buf;
-  static thread_local std::vector<double> scratch_buf;
-  if (out_buf.size() < 2 * n_) {
-    out_buf.resize(2 * n_);
-    scratch_buf.resize(2 * n_);
+  // Persistent per-thread ping-pong buffers: transform() runs once per grid
+  // line, so per-call allocation dominated small-n transforms. Bluestein
+  // plans return above without touching them, so the transforms of their
+  // power-of-two helper never overwrite a live buffer.
+  static thread_local std::vector<double> buf_a, buf_b;
+  if (buf_a.size() < 2 * n_) {
+    buf_a.resize(2 * n_);
+    buf_b.resize(2 * n_);
   }
   // std::complex<double> is layout-compatible with double[2].
   auto* d = reinterpret_cast<double*>(data);
-  combine(0, 1, d, out_buf.data(), scratch_buf.data(), inverse);
-  std::copy(out_buf.begin(), out_buf.begin() + 2 * n_, d);
-}
-
-void Fft1D::combine(std::size_t level, std::size_t stride, const double* in,
-                    double* out, double* scratch, bool inverse) const {
-  const Level& lvl = levels_[level];
-  const std::size_t n = lvl.n;
-  const std::size_t r = lvl.r;
-  const std::size_t m = lvl.m;
-  // X[k2 + m*k1] = sum_j W_n^{j*(k2 + m*k1)} * Y_j[k2], accumulated in
-  // ascending j from +0.0, so even signed zeros match a zero-initialised
-  // accumulator. Sub-transform j handles inputs j, j+r, j+2r, ...
-  const double* table = inverse ? lvl.inv.data() : lvl.fwd.data();
-  if (m == 1) {
-    // Leaf level: Y_j is the single input element j, so this is a direct
-    // r-point DFT with the accumulator in registers.
-    for (std::size_t k = 0; k < r; ++k) {
-      double re = 0.0, im = 0.0;
-      for (std::size_t j = 0; j < r; ++j) {
-        const double tr = table[2 * (j * r + k)];
-        const double ti = table[2 * (j * r + k) + 1];
-        const double sr = in[2 * j * stride], si = in[2 * j * stride + 1];
-        re += tr * sr - ti * si;
-        im += tr * si + ti * sr;
-      }
-      out[2 * k] = re;
-      out[2 * k + 1] = im;
-    }
-    return;
+  // Pass i (1 = leaf, L = level 0) reads what pass i-1 wrote and writes
+  // `d` when L - i is even, buf_a otherwise, so the last pass lands in `d`.
+  // The gather writes buf_a, or buf_b when pass 1 writes buf_a (L even):
+  // no pass reads the buffer it writes, and `d` is overwritten only after
+  // the gather has read it.
+  const std::size_t passes = levels_.size();
+  double* const a = buf_a.data();
+  double* src = passes % 2 == 0 ? buf_b.data() : a;
+  // The inverse DFT is the forward DFT of x[(n - j) mod n]: fold that
+  // index reversal into the gather instead of conjugating twiddles.
+  for (std::size_t p = 0; p < n_; ++p) {
+    const std::size_t j = perm_[p];
+    const std::size_t at = inverse && j != 0 ? n_ - j : j;
+    src[2 * p] = d[2 * at];
+    src[2 * p + 1] = d[2 * at + 1];
   }
-  for (std::size_t j = 0; j < r; ++j) {
-    combine(level + 1, stride * r, in + 2 * j * stride, scratch + 2 * j * m,
-            out + 2 * j * m, inverse);
-  }
-  // j-outer/k-inner: contiguous multiply-accumulate streams. Sub-results
-  // are sums started from +0.0, which round-to-nearest never leaves at
-  // -0.0, so storing the j == 0 term bare equals adding it to +0.0.
-  for (std::size_t j = 0; j < r; ++j) {
-    const double* s = scratch + 2 * j * m;
-    for (std::size_t k1 = 0; k1 < r; ++k1) {
-      double* o = out + 2 * k1 * m;
-      const double* t = table + 2 * (j * n + k1 * m);
-      if (j == 0) {
-#pragma omp simd
-        for (std::size_t k2 = 0; k2 < m; ++k2) {
-          const double tr = t[2 * k2], ti = t[2 * k2 + 1];
-          const double sr = s[2 * k2], si = s[2 * k2 + 1];
-          o[2 * k2] = tr * sr - ti * si;
-          o[2 * k2 + 1] = tr * si + ti * sr;
-        }
-      } else {
-#pragma omp simd
-        for (std::size_t k2 = 0; k2 < m; ++k2) {
-          const double tr = t[2 * k2], ti = t[2 * k2 + 1];
-          const double sr = s[2 * k2], si = s[2 * k2 + 1];
-          o[2 * k2] += tr * sr - ti * si;
-          o[2 * k2 + 1] += tr * si + ti * sr;
-        }
-      }
+  for (std::size_t i = 1; i <= passes; ++i) {
+    const Level& lvl = levels_[passes - i];
+    double* dst = (passes - i) % 2 == 0 ? d : a;
+    const std::size_t blocks = n_ / lvl.n;
+    switch (lvl.r) {
+      case 2: pass<2>(lvl, blocks, src, dst); break;
+      case 3: pass<3>(lvl, blocks, src, dst); break;
+      case 4: pass<4>(lvl, blocks, src, dst); break;
+      case 5: pass<5>(lvl, blocks, src, dst); break;
+      default: pass<0>(lvl, blocks, src, dst); break;
     }
+    src = dst;
   }
 }
 

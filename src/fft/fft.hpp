@@ -6,17 +6,21 @@
 // Fft3D applies 1-D plans along the three axes of a row-major
 // [nx][ny][nz] grid.
 //
-// There is one combine path: decimation in time over a flat chain of
-// per-level twiddle tables. Entry [j*n + k] of a level's table holds
-// W_n^{(j*k) mod n}, copied from one root table, so the combine loop
-// streams twiddles contiguously with no index arithmetic. The loop is
-// written on explicit real/imaginary doubles rather than std::complex:
-// std::complex's operator* carries a NaN-recovery branch (a call to
-// __muldc3) that blocks vectorisation, and the inputs here are always
-// finite. Each out[k] accumulates its radix terms in ascending j, starting
-// from +0.0 and multiplying the j == 0 term by W^0, so every transform
-// performs the classic recursive Cooley-Tukey's floating-point operations
-// in the same order (tests/fft_test.cpp keeps that form as the oracle).
+// There is one radix path: iterative decimation-in-time Cooley-Tukey.
+// The input is gathered once in mixed-radix digit-reversed order (index-
+// reversed for the inverse, which is the forward DFT of x[(n - j) mod n]),
+// then one pass per radix level runs from the leaves up, ping-ponging
+// between a scratch buffer and the caller's line. Each pass multiplies
+// sub-transform j by the twiddle W_n^{j*k2} and does one r-point
+// butterfly per k2: explicit radix-2 and radix-4 butterflies, and one
+// symmetric-pair kernel for odd radixes (unrolled for 3 and 5, table-
+// driven for 7..31). Twiddles are rounded from long-double roots. The
+// loops work on explicit real/imaginary doubles rather than std::complex,
+// whose operator* carries a NaN-recovery branch (a call to __muldc3).
+// A line's result depends only on its values and the plan, never on where
+// the line sits in memory, so every 1-D and 3-D transform that hands Fft1D
+// the same line gets the same bits (tests/fft_test.cpp pins both that and
+// the accuracy against a long-double DFT).
 #pragma once
 
 #include <complex>
@@ -44,24 +48,28 @@ class Fft1D {
   double flops() const;
 
  private:
+  // Radix-chain level: a transform of size n = r * m built from r
+  // sub-transforms of size m (the next level). Twiddles are interleaved
+  // re/im: tw[2*((j-1)*m + k2)] is Re W_n^{j*k2} for j in [1, r) (empty at
+  // the leaf, m == 1); odd radixes also carry cs[2t], cs[2t+1] =
+  // cos, sin of 2 pi t / r for their butterfly.
+  struct Level {
+    std::size_t n = 0, r = 0, m = 0;
+    std::vector<double> tw, cs;
+  };
+
   void transform(Complex* data, bool inverse) const;
-  // One decimation-in-time level into `out` (interleaved re/im doubles),
-  // using `scratch` for the r sub-results. `level` indexes levels_: every
-  // same-size call sits at the same depth of the radix chain, so the
-  // chain is a flat vector, not a tree.
-  void combine(std::size_t level, std::size_t stride, const double* in,
-               double* out, double* scratch, bool inverse) const;
+  template <std::size_t R>
+  static void pass(const Level& lvl, std::size_t blocks, const double* in,
+                   double* out);
   void bluestein(Complex* data, bool inverse) const;
 
   std::size_t n_;
-  // Radix-chain level tables (empty for n == 1 and for Bluestein sizes),
-  // interleaved re/im: fwd[2*(j*n + k)] is Re W_n^{(j*k) mod n}; inv holds
-  // the exact conjugates.
-  struct Level {
-    std::size_t n = 0, r = 0, m = 0;
-    std::vector<double> fwd, inv;
-  };
+  // Empty for n == 1 and for Bluestein sizes; levels_[0] is the whole
+  // transform, levels_.back() the leaf.
   std::vector<Level> levels_;
+  // perm_[p]: the input element gathered into position p.
+  std::vector<std::size_t> perm_;
   // Bluestein machinery (only allocated when needed).
   struct BluesteinPlan;
   std::shared_ptr<BluesteinPlan> blue_;

@@ -52,37 +52,20 @@ inline std::size_t line(const AtomSpline& s, int d, int j, std::size_t n) {
   return static_cast<std::size_t>(k);
 }
 
-// Influence factor for wavevector (mx, my, mz):
-//   kCoulomb/(pi V) * exp(-pi^2 mhat^2 / beta^2) / mhat^2 * B(m),
-// the multiplier applied to |Q^(m)|^2 / 2 for the energy (Essmann eq. 4.7).
-struct Influence {
-  Influence(const PmeParams& p, const Box& box, const std::vector<double>& bx,
-            const std::vector<double>& by, const std::vector<double>& bz)
-      : p_(p), box_(box), bx_(bx), by_(by), bz_(bz) {}
-
-  double operator()(std::size_t mx, std::size_t my, std::size_t mz) const {
-    if (mx == 0 && my == 0 && mz == 0) return 0.0;
-    auto wrap = [](std::size_t m, std::size_t n) {
-      const auto mi = static_cast<double>(m);
-      return m > n / 2 ? mi - static_cast<double>(n) : mi;
-    };
-    const double hx = wrap(mx, p_.nx) / box_.lx();
-    const double hy = wrap(my, p_.ny) / box_.ly();
-    const double hz = wrap(mz, p_.nz) / box_.lz();
-    const double m2 = hx * hx + hy * hy + hz * hz;
-    const double pi = std::numbers::pi;
-    const double expo = std::exp(-pi * pi * m2 / (p_.beta * p_.beta));
-    return units::kCoulomb / (pi * box_.volume()) * expo / m2 * bx_[mx] *
-           by_[my] * bz_[mz];
+// Convolution + energy over one PME object's k-space points: each point
+// contributes f |Q^(m)|^2 / 2 to the energy and is scaled by f K, where K
+// compensates the normalized inverse so the real-space grid is the
+// unnormalized convolution (the potential phi).
+double convolve(const std::vector<double>& influence, fft::Complex* grid,
+                double K) {
+  double energy = 0.0;
+  for (std::size_t i = 0; i < influence.size(); ++i) {
+    const double f = influence[i];
+    energy += 0.5 * f * std::norm(grid[i]);
+    grid[i] *= f * K;
   }
-
- private:
-  const PmeParams& p_;
-  const Box& box_;
-  const std::vector<double>& bx_;
-  const std::vector<double>& by_;
-  const std::vector<double>& bz_;
-};
+  return energy;
+}
 
 }  // namespace
 
@@ -97,6 +80,48 @@ std::size_t wrapped_overlap(std::size_t start, std::size_t count,
   const std::size_t end = start + count;
   if (end <= n) return seg(start, end);
   return seg(start, n) + seg(0, end - n);
+}
+
+std::vector<double> influence_table(const PmeParams& p, const Box& box,
+                                    const GridRegion& k, bool x_fastest) {
+  const std::vector<double> bx = bspline_moduli(p.nx, p.order);
+  const std::vector<double> by = bspline_moduli(p.ny, p.order);
+  const std::vector<double> bz = bspline_moduli(p.nz, p.order);
+  auto wrap = [](std::size_t m, std::size_t n) {
+    const auto mi = static_cast<double>(m);
+    return m > n / 2 ? mi - static_cast<double>(n) : mi;
+  };
+  auto factor = [&](std::size_t mx, std::size_t my, std::size_t mz) {
+    if (mx == 0 && my == 0 && mz == 0) return 0.0;
+    const double hx = wrap(mx, p.nx) / box.lx();
+    const double hy = wrap(my, p.ny) / box.ly();
+    const double hz = wrap(mz, p.nz) / box.lz();
+    const double m2 = hx * hx + hy * hy + hz * hz;
+    const double pi = std::numbers::pi;
+    const double expo = std::exp(-pi * pi * m2 / (p.beta * p.beta));
+    return units::kCoulomb / (pi * box.volume()) * expo / m2 * bx[mx] *
+           by[my] * bz[mz];
+  };
+  std::vector<double> table;
+  table.reserve(k.cx * k.cy * k.cz);
+  if (x_fastest) {
+    for (std::size_t mz = k.z0; mz < k.z0 + k.cz; ++mz) {
+      for (std::size_t my = k.y0; my < k.y0 + k.cy; ++my) {
+        for (std::size_t mx = k.x0; mx < k.x0 + k.cx; ++mx) {
+          table.push_back(factor(mx, my, mz));
+        }
+      }
+    }
+  } else {
+    for (std::size_t mx = k.x0; mx < k.x0 + k.cx; ++mx) {
+      for (std::size_t my = k.y0; my < k.y0 + k.cy; ++my) {
+        for (std::size_t mz = k.z0; mz < k.z0 + k.cz; ++mz) {
+          table.push_back(factor(mx, my, mz));
+        }
+      }
+    }
+  }
+  return table;
 }
 
 namespace {
@@ -221,124 +246,26 @@ double ewald_exclusion_correction_owned(
 
 // --- SerialPme --------------------------------------------------------------
 
-SerialPme::SerialPme(const PmeParams& params, const Box& box,
-                     util::KernelKind kind)
+SerialPme::SerialPme(const PmeParams& params, const Box& box)
     : params_(params),
       box_(box),
-      kind_(kind),
       fft_(params.nx, params.ny, params.nz),
-      modx_(bspline_moduli(params.nx, params.order)),
-      mody_(bspline_moduli(params.ny, params.order)),
-      modz_(bspline_moduli(params.nz, params.order)),
+      influence_(influence_table(
+          params, box, GridRegion{0, params.nx, 0, params.ny, 0, params.nz},
+          false)),
       grid_(params.nx * params.ny * params.nz) {}
 
-double SerialPme::convolve_energy() {
-  const auto K = static_cast<double>(grid_.size());
-  const Influence fac(params_, box_, modx_, mody_, modz_);
-  double energy = 0.0;
-  for (std::size_t mx = 0; mx < params_.nx; ++mx) {
-    for (std::size_t my = 0; my < params_.ny; ++my) {
-      for (std::size_t mz = 0; mz < params_.nz; ++mz) {
-        const std::size_t idx = (mx * params_.ny + my) * params_.nz + mz;
-        const double f = fac(mx, my, mz);
-        energy += 0.5 * f * std::norm(grid_[idx]);
-        // K compensates the normalized inverse so the real-space grid is
-        // the unnormalized convolution (the potential phi).
-        grid_[idx] *= f * K;
-      }
-    }
-  }
-  return energy;
-}
-
+// Batched spline construction (SoA lanes across atoms via
+// bspline_weights_batch), a real staging grid so spread/interpolation
+// touch contiguous doubles instead of Complex real parts, and contiguous
+// descending z-tap inner loops when the stencil does not wrap. Every
+// floating-point operation matches the per-atom scalar form in value and
+// order (tests/pme_test.cpp keeps that form as a bit-exact oracle).
 double SerialPme::reciprocal(const Topology& topo,
                              const std::vector<Vec3>& pos,
                              std::vector<Vec3>& forces, PmeWork* work) {
   const auto n = static_cast<std::size_t>(topo.natoms());
   REPRO_REQUIRE(pos.size() == n, "position array size mismatch");
-  if (kind_ == util::KernelKind::kSimd) {
-    return reciprocal_simd(topo, pos, forces, work);
-  }
-  const int order = params_.order;
-
-  std::vector<AtomSpline> splines(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    splines[i] = make_spline(params_, box_, pos[i]);
-  }
-
-  // Charge spreading.
-  std::fill(grid_.begin(), grid_.end(), fft::Complex(0, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = topo.atom(static_cast<int>(i)).charge;
-    if (q == 0.0) continue;
-    const AtomSpline& s = splines[i];
-    for (int jx = 0; jx < order; ++jx) {
-      const std::size_t kx = line(s, 0, jx, params_.nx);
-      for (int jy = 0; jy < order; ++jy) {
-        const std::size_t ky = line(s, 1, jy, params_.ny);
-        const double wxy = q * s.w[0][jx] * s.w[1][jy];
-        for (int jz = 0; jz < order; ++jz) {
-          const std::size_t kz = line(s, 2, jz, params_.nz);
-          grid_[(kx * params_.ny + ky) * params_.nz + kz] +=
-              wxy * s.w[2][jz];
-        }
-      }
-    }
-  }
-
-  fft_.forward(grid_.data());
-
-  // Convolution + energy.
-  const double energy = convolve_energy();
-
-  fft_.inverse(grid_.data());
-
-  // Force interpolation: F_i = -q_i sum_k (dQ/dr_i) phi(k).
-  const double sx = static_cast<double>(params_.nx) / box_.lx();
-  const double sy = static_cast<double>(params_.ny) / box_.ly();
-  const double sz = static_cast<double>(params_.nz) / box_.lz();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = topo.atom(static_cast<int>(i)).charge;
-    if (q == 0.0) continue;
-    const AtomSpline& s = splines[i];
-    Vec3 f{};
-    for (int jx = 0; jx < order; ++jx) {
-      const std::size_t kx = line(s, 0, jx, params_.nx);
-      for (int jy = 0; jy < order; ++jy) {
-        const std::size_t ky = line(s, 1, jy, params_.ny);
-        for (int jz = 0; jz < order; ++jz) {
-          const std::size_t kz = line(s, 2, jz, params_.nz);
-          const double phi =
-              grid_[(kx * params_.ny + ky) * params_.nz + kz].real();
-          f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
-          f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
-          f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
-        }
-      }
-    }
-    forces[i] -= Vec3{f.x * sx, f.y * sy, f.z * sz} * q;
-  }
-
-  if (work != nullptr) {
-    work->atoms_spread += n;
-    work->stencil_points +=
-        2 * n * static_cast<std::size_t>(order * order * order);
-    work->mesh_points += grid_.size();
-    work->fft_flops += 2.0 * fft_.flops();
-  }
-  return energy;
-}
-
-// Simd variant: batched spline construction (SoA lanes across atoms via
-// bspline_weights_batch), a real staging grid so spread/interpolation
-// touch contiguous doubles instead of Complex real parts, and contiguous
-// descending z-tap inner loops when the stencil does not wrap. Every
-// floating-point operation matches the scalar path in value and order, so
-// the result is bit-identical (pinned by kernel_variant_test).
-double SerialPme::reciprocal_simd(const Topology& topo,
-                                  const std::vector<Vec3>& pos,
-                                  std::vector<Vec3>& forces, PmeWork* work) {
-  const auto n = static_cast<std::size_t>(topo.natoms());
   const int order = params_.order;
   const std::size_t dims[3] = {params_.nx, params_.ny, params_.nz};
   const double lens[3] = {box_.lx(), box_.ly(), box_.lz()};
@@ -409,7 +336,8 @@ double SerialPme::reciprocal_simd(const Topology& topo,
   }
 
   fft_.forward(grid_.data());
-  const double energy = convolve_energy();
+  const double energy =
+      convolve(influence_, grid_.data(), static_cast<double>(grid_.size()));
   fft_.inverse(grid_.data());
 
 #pragma omp simd
@@ -489,9 +417,11 @@ ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
       mw_(mw),
       charge_(std::move(charge_compute)),
       pfft_(params.nx, params.ny, params.nz, mw, charge_),
-      modx_(bspline_moduli(params.nx, params.order)),
-      mody_(bspline_moduli(params.ny, params.order)),
-      modz_(bspline_moduli(params.nz, params.order)),
+      influence_(influence_table(
+          params, box,
+          GridRegion{0, params.nx, 0, params.ny,
+                     pfft_.z_slabs().begin(mw.rank()), pfft_.local_z_count()},
+          true)),
       xslab_(pfft_.x_slab_size()),
       zslab_(pfft_.z_slab_size()) {}
 
@@ -554,21 +484,8 @@ double ParallelPme::reciprocal(const Topology& topo,
   pfft_.forward(xslab_.data(), zslab_.data());
 
   // Convolution over my z-planes of k-space; z-slab layout is [lz][ny][nx].
-  const Influence fac(params_, box_, modx_, mody_, modz_);
-  const std::size_t zb = pfft_.z_slabs().begin(me);
   const std::size_t lz = pfft_.local_z_count();
-  double energy = 0.0;
-  for (std::size_t zl = 0; zl < lz; ++zl) {
-    const std::size_t mz = zb + zl;
-    for (std::size_t my = 0; my < params_.ny; ++my) {
-      for (std::size_t mx = 0; mx < params_.nx; ++mx) {
-        const std::size_t idx = (zl * params_.ny + my) * params_.nx + mx;
-        const double f = fac(mx, my, mz);
-        energy += 0.5 * f * std::norm(zslab_[idx]);
-        zslab_[idx] *= f * K;
-      }
-    }
-  }
+  const double energy = convolve(influence_, zslab_.data(), K);
   if (charge_) {
     charge_(12.0 * static_cast<double>(lz * params_.ny * params_.nx));
   }
@@ -639,19 +556,27 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
       charge_(std::move(charge_compute)),
       pfft_(fft::PencilGrid(params.nx, params.ny, params.nz, py, pz), comm,
             charge_),
-      regions_(std::move(regions)),
-      modx_(bspline_moduli(params.nx, params.order)),
-      mody_(bspline_moduli(params.ny, params.order)),
-      modz_(bspline_moduli(params.nz, params.order)) {
+      regions_(std::move(regions)) {
   REPRO_REQUIRE(regions_.size() == static_cast<std::size_t>(comm_.size()),
                 "pencil PME needs one grid region per rank");
   REPRO_REQUIRE(py * pz <= comm_.size(),
                 "pencil process grid needs more ranks than the run has");
   const int me = comm_.rank();
+  const fft::PencilGrid& g = pfft_.grid();
   const GridRegion& reg = my_region();
   region_.resize(reg.cx * reg.cy * reg.cz);
-  stage1_.resize(pfft_.grid().stage1_size(me));
-  stage3_.resize(pfft_.grid().stage3_size(me));
+  stage1_.resize(g.stage1_size(me));
+  stage3_.resize(g.stage3_size(me));
+  // My stage-3 pencils: x in Xp(yc), y in Y2p(zc), all z.
+  if (g.participates(me)) {
+    const int yc = g.ycoord(me);
+    const int zc = g.zcoord(me);
+    influence_ = influence_table(
+        params_, box_,
+        GridRegion{g.xpart.begin(yc), g.xpart.count(yc), g.y2part.begin(zc),
+                   g.y2part.count(zc), 0, params_.nz},
+        false);
+  }
 }
 
 // Charge plane exchange: every rank ships, for each stage-1 pencil owner
@@ -809,31 +734,11 @@ double PencilPme::reciprocal(const Topology& topo,
   exchange_charges(tag_base + 0);
   pfft_.forward(stage1_.data(), stage3_.data(), tag_base + 1, tag_base + 2);
 
-  // Convolution + partial energy over my stage-3 pencils: x in Xp(yc),
-  // y in Y2p(zc), all z — each wavevector on exactly one rank.
-  const Influence fac(params_, box_, modx_, mody_, modz_);
-  double energy = 0.0;
-  std::size_t mesh = 0;
-  if (g.participates(me)) {
-    const int yc = g.ycoord(me);
-    const int zc = g.zcoord(me);
-    const std::size_t xb = g.xpart.begin(yc);
-    const std::size_t lx2 = g.xpart.count(yc);
-    const std::size_t yb = g.y2part.begin(zc);
-    const std::size_t ly3 = g.y2part.count(zc);
-    for (std::size_t xl = 0; xl < lx2; ++xl) {
-      for (std::size_t yl = 0; yl < ly3; ++yl) {
-        fft::Complex* lin = stage3_.data() + (xl * ly3 + yl) * params_.nz;
-        for (std::size_t mz = 0; mz < params_.nz; ++mz) {
-          const double f = fac(xb + xl, yb + yl, mz);
-          energy += 0.5 * f * std::norm(lin[mz]);
-          lin[mz] *= f * K;
-        }
-      }
-    }
-    mesh = lx2 * ly3 * params_.nz;
-    charge(12.0 * static_cast<double>(mesh));
-  }
+  // Convolution + partial energy over my stage-3 pencils — each
+  // wavevector on exactly one rank.
+  const double energy = convolve(influence_, stage3_.data(), K);
+  const std::size_t mesh = stage3_.size();
+  if (g.participates(me)) charge(12.0 * static_cast<double>(mesh));
 
   pfft_.backward(stage3_.data(), stage1_.data(), tag_base + 3, tag_base + 4);
   return_potential(tag_base + 5);

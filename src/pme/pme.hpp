@@ -5,13 +5,15 @@
 //     + E_reciprocal (charge mesh + 3-D FFT convolution, here)
 //     + E_self + E_exclusion-correction (analytic, here).
 //
-// Two implementations share the spline/influence machinery:
+// Three implementations share the spline/influence machinery:
 //  - SerialPme: full grid + sequential 3-D FFT (reference, examples).
 //  - ParallelPme: x-slab decomposition on top of ParallelFft3D; the only
 //    communication is the two all-to-all personalized transposes inside
 //    the forward/backward FFTs, matching the structure in the paper's
 //    Figure 2. Per-rank partial energies/forces are combined by the
 //    caller's global reduction (the classic part's collective).
+//  - PencilPme: the charge grid over a Py x Pz pencil process grid fed by
+//    the spatial decomposition (below).
 #pragma once
 
 #include <cstddef>
@@ -68,13 +70,11 @@ double ewald_exclusion_correction_owned(
 
 class SerialPme {
  public:
-  // The simd kernel variant batches the B-spline weight recurrence across
-  // atoms (bspline_weights_batch), spreads/interpolates through a real
-  // staging grid with contiguous z-tap inner loops. Every lane executes
-  // the scalar arithmetic in the same order, so both variants produce
-  // bit-identical results — the switch only changes wall-clock.
-  SerialPme(const PmeParams& params, const md::Box& box,
-            util::KernelKind kind = util::default_kernel_kind());
+  SerialPme(const PmeParams& params, const md::Box& box);
+  // SerialPme has one kernel path; this overload accepts and ignores the
+  // kernel variant for callers that still pass it (perfbench's probe).
+  SerialPme(const PmeParams& params, const md::Box& box, util::KernelKind)
+      : SerialPme(params, box) {}
 
   // Computes the reciprocal-space energy and accumulates forces on all
   // atoms. Positions may lie outside the box (wrapped internally).
@@ -83,23 +83,14 @@ class SerialPme {
                     std::vector<util::Vec3>& forces, PmeWork* work = nullptr);
 
   const PmeParams& params() const { return params_; }
-  util::KernelKind kernel() const { return kind_; }
 
  private:
-  // Convolution + energy over the full k-space grid (shared verbatim by
-  // both kernel variants).
-  double convolve_energy();
-  double reciprocal_simd(const md::Topology& topo,
-                         const std::vector<util::Vec3>& pos,
-                         std::vector<util::Vec3>& forces, PmeWork* work);
-
   PmeParams params_;
   md::Box box_;
-  util::KernelKind kind_;
   fft::Fft3D fft_;
-  std::vector<double> modx_, mody_, modz_;
+  std::vector<double> influence_;  // influence_table() of the whole grid
   std::vector<fft::Complex> grid_;
-  // Simd-path scratch: real staging grid and SoA spline data per dimension.
+  // Real staging grid and SoA spline data per dimension.
   std::vector<double> rgrid_;
   std::vector<double> sw_[3], sdw_[3], sfrac_[3];
   std::vector<int> sk0_[3];
@@ -119,6 +110,16 @@ struct GridRegion {
   bool empty() const { return cx == 0 || cy == 0 || cz == 0; }
   bool operator==(const GridRegion&) const = default;
 };
+
+// Influence factor of every wavevector in the k-space box `k` (read
+// without wrap), in the order a convolution visits it: [x][y][z], z
+// fastest, or with `x_fastest` [z][y][x]. Each value is
+//   kCoulomb/(pi V) * exp(-pi^2 mhat^2 / beta^2) / mhat^2 * B(m)
+// (0 at m = 0), the multiplier applied to |Q^(m)|^2 / 2 for the energy
+// (Essmann eq. 4.7). Box and parameters are fixed per PME object, so each
+// builds its table once at construction.
+std::vector<double> influence_table(const PmeParams& p, const md::Box& box,
+                                    const GridRegion& k, bool x_fastest);
 
 // Number of k in [0, count) whose wrapped plane index (start + k) mod n
 // falls in [b, e). The block-size primitive shared by the pencil plane
@@ -232,7 +233,7 @@ class PencilPme {
   std::function<void(double)> charge_;
   fft::PencilFft3D pfft_;
   std::vector<GridRegion> regions_;
-  std::vector<double> modx_, mody_, modz_;
+  std::vector<double> influence_;      // of my stage-3 pencils (z fastest)
   std::vector<double> region_;         // [cx][cy][cz] charges / potentials
   std::vector<fft::Complex> stage1_;   // [ly1][lz1][nx]
   std::vector<fft::Complex> stage3_;   // [lx2][ly3][nz]
@@ -262,7 +263,7 @@ class ParallelPme {
   middleware::Middleware& mw_;
   std::function<void(double)> charge_;
   fft::ParallelFft3D pfft_;
-  std::vector<double> modx_, mody_, modz_;
+  std::vector<double> influence_;  // of my z-slab, [lz][ny][nx]
   std::vector<fft::Complex> xslab_;
   std::vector<fft::Complex> zslab_;
 };

@@ -160,7 +160,9 @@ TEST(SequentialTest, MinimizerListReuseIsExact) {
                           pos.size() * sizeof(util::Vec3)),
               0);
     EXPECT_GE(reuses, 1);
-    if (mid_run_rebuilds) EXPECT_GE(builds, 2);
+    if (mid_run_rebuilds) {
+      EXPECT_GE(builds, 2);
+    }
   }
 }
 

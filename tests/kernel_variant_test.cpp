@@ -6,9 +6,6 @@
 //    reports identical work counters, and is deterministic across reruns;
 //  - batched B-spline weights are bit-identical per lane and keep the
 //    partition of unity;
-//  - the simd SerialPme is bit-identical to its scalar form (the design
-//    claim in pme.hpp; the FFT's single combine path is pinned against
-//    its recursive oracle in fft_test);
 //  - every decomposition x processor count produces (near-)identical
 //    physics and *exactly* identical simulated time under either variant.
 #include <gtest/gtest.h>
@@ -22,7 +19,6 @@
 #include "md/nonbonded.hpp"
 #include "perf/power.hpp"
 #include "pme/bspline.hpp"
-#include "pme/pme.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
 #include "util/kernel.hpp"
@@ -379,50 +375,6 @@ TEST(BsplineBatchTest, PartitionOfUnity) {
       EXPECT_NEAR(vsum, 1.0, 1e-12);  // weights spread the whole charge
       EXPECT_NEAR(dsum, 0.0, 1e-12);  // translating the grid changes nothing
     }
-  }
-}
-
-// --- serial PME ------------------------------------------------------------
-
-TEST(PmeKernelTest, SimdSerialPmeIsBitIdenticalToScalar) {
-  const auto& sys = water();
-  const pme::PmeParams params{32, 32, 32, 4, 0.34};
-  pme::SerialPme scalar(params, sys.box, KernelKind::kScalar);
-  pme::SerialPme simd(params, sys.box, KernelKind::kSimd);
-  EXPECT_EQ(simd.kernel(), KernelKind::kSimd);
-  const auto natoms = static_cast<std::size_t>(sys.topo.natoms());
-  std::vector<Vec3> fs(natoms, Vec3{}), fv(natoms, Vec3{});
-  pme::PmeWork ws, wv;
-  const double es = scalar.reciprocal(sys.topo, sys.positions, fs, &ws);
-  const double ev = simd.reciprocal(sys.topo, sys.positions, fv, &wv);
-  EXPECT_EQ(es, ev);
-  for (std::size_t i = 0; i < natoms; ++i) {
-    EXPECT_EQ(fs[i].x, fv[i].x) << "atom " << i;
-    EXPECT_EQ(fs[i].y, fv[i].y) << "atom " << i;
-    EXPECT_EQ(fs[i].z, fv[i].z) << "atom " << i;
-  }
-  EXPECT_EQ(ws.atoms_spread, wv.atoms_spread);
-  EXPECT_EQ(ws.stencil_points, wv.stencil_points);
-  EXPECT_EQ(ws.mesh_points, wv.mesh_points);
-  EXPECT_EQ(ws.fft_flops, wv.fft_flops);
-}
-
-TEST(PmeKernelTest, SimdSerialPmeOrderSix) {
-  // Order 6 exercises the wider stencil and the wrapped spread slow path
-  // on a grid the paper never used.
-  const auto& sys = water();
-  const pme::PmeParams params{20, 24, 20, 6, 0.30};
-  pme::SerialPme scalar(params, sys.box, KernelKind::kScalar);
-  pme::SerialPme simd(params, sys.box, KernelKind::kSimd);
-  const auto natoms = static_cast<std::size_t>(sys.topo.natoms());
-  std::vector<Vec3> fs(natoms, Vec3{}), fv(natoms, Vec3{});
-  const double es = scalar.reciprocal(sys.topo, sys.positions, fs);
-  const double ev = simd.reciprocal(sys.topo, sys.positions, fv);
-  EXPECT_EQ(es, ev);
-  for (std::size_t i = 0; i < natoms; ++i) {
-    EXPECT_EQ(fs[i].x, fv[i].x) << "atom " << i;
-    EXPECT_EQ(fs[i].y, fv[i].y) << "atom " << i;
-    EXPECT_EQ(fs[i].z, fv[i].z) << "atom " << i;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "md/nonbonded.hpp"
@@ -372,6 +373,253 @@ TEST(SerialPmeTest, AccuracyConvergesWithGridAndOrder) {
   EXPECT_LT(error_for(20, 6), error_for(20, 4) * 1.01);
   // And the finest result is genuinely accurate.
   EXPECT_LT(finer, std::abs(exact) * 1e-3 + 1e-4);
+}
+
+// --- scalar oracle --------------------------------------------------------------
+//
+// The per-atom scalar form of SerialPme::reciprocal, kept as the bit-exact
+// reference for its batched path: one AtomSpline per atom, spreading into
+// and interpolating from the Complex grid directly, and the influence
+// factor recomputed per k-space point by a per-call functor instead of
+// read from influence_table().
+
+struct AtomSpline {
+  int k0[3];
+  double w[3][kMaxOrder];
+  double dw[3][kMaxOrder];
+};
+
+double frac_coord(double x, double box_len, std::size_t n) {
+  double u = x / box_len * static_cast<double>(n);
+  u -= std::floor(u / static_cast<double>(n)) * static_cast<double>(n);
+  if (u >= static_cast<double>(n)) u -= static_cast<double>(n);
+  return u;
+}
+
+AtomSpline make_spline(const PmeParams& p, const md::Box& box,
+                       const Vec3& r) {
+  AtomSpline s;
+  const double lens[3] = {box.lx(), box.ly(), box.lz()};
+  const std::size_t dims[3] = {p.nx, p.ny, p.nz};
+  const double coords[3] = {r.x, r.y, r.z};
+  for (int d = 0; d < 3; ++d) {
+    const double u = frac_coord(coords[d], lens[d], dims[d]);
+    const double k0 = std::floor(u);
+    s.k0[d] = static_cast<int>(k0);
+    bspline_weights(p.order, u - k0, s.w[d], s.dw[d]);
+  }
+  return s;
+}
+
+std::size_t line(const AtomSpline& s, int d, int j, std::size_t n) {
+  int k = s.k0[d] - j;
+  if (k < 0) k += static_cast<int>(n);
+  return static_cast<std::size_t>(k);
+}
+
+// Influence factor of wavevector (mx, my, mz), recomputed on every call.
+struct Influence {
+  Influence(const PmeParams& p, const md::Box& box)
+      : p_(p),
+        box_(box),
+        bx_(bspline_moduli(p.nx, p.order)),
+        by_(bspline_moduli(p.ny, p.order)),
+        bz_(bspline_moduli(p.nz, p.order)) {}
+
+  double operator()(std::size_t mx, std::size_t my, std::size_t mz) const {
+    if (mx == 0 && my == 0 && mz == 0) return 0.0;
+    auto wrap = [](std::size_t m, std::size_t n) {
+      const auto mi = static_cast<double>(m);
+      return m > n / 2 ? mi - static_cast<double>(n) : mi;
+    };
+    const double hx = wrap(mx, p_.nx) / box_.lx();
+    const double hy = wrap(my, p_.ny) / box_.ly();
+    const double hz = wrap(mz, p_.nz) / box_.lz();
+    const double m2 = hx * hx + hy * hy + hz * hz;
+    const double pi = std::numbers::pi;
+    const double expo = std::exp(-pi * pi * m2 / (p_.beta * p_.beta));
+    return units::kCoulomb / (pi * box_.volume()) * expo / m2 * bx_[mx] *
+           by_[my] * bz_[mz];
+  }
+
+ private:
+  PmeParams p_;
+  md::Box box_;
+  std::vector<double> bx_, by_, bz_;
+};
+
+// `slab_order` visits k-space z-outermost and x-innermost, as ParallelPme
+// does on its [z][y][x] slab; otherwise x-outermost, as SerialPme does.
+double oracle_reciprocal(const PmeParams& params, const md::Box& box,
+                         const md::Topology& topo,
+                         const std::vector<Vec3>& pos,
+                         std::vector<Vec3>& forces, bool slab_order = false) {
+  const auto n = static_cast<std::size_t>(topo.natoms());
+  const int order = params.order;
+  const std::size_t nx = params.nx, ny = params.ny, nz = params.nz;
+  std::vector<AtomSpline> splines(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    splines[i] = make_spline(params, box, pos[i]);
+  }
+  std::vector<fft::Complex> grid(nx * ny * nz, fft::Complex(0, 0));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double q = topo.atom(static_cast<int>(i)).charge;
+    if (q == 0.0) continue;
+    const AtomSpline& s = splines[i];
+    for (int jx = 0; jx < order; ++jx) {
+      const std::size_t kx = line(s, 0, jx, nx);
+      for (int jy = 0; jy < order; ++jy) {
+        const std::size_t ky = line(s, 1, jy, ny);
+        const double wxy = q * s.w[0][jx] * s.w[1][jy];
+        for (int jz = 0; jz < order; ++jz) {
+          const std::size_t kz = line(s, 2, jz, nz);
+          grid[(kx * ny + ky) * nz + kz] += wxy * s.w[2][jz];
+        }
+      }
+    }
+  }
+  const fft::Fft3D fft(nx, ny, nz);
+  fft.forward(grid.data());
+  const Influence fac(params, box);
+  const auto K = static_cast<double>(grid.size());
+  double energy = 0.0;
+  const auto visit = [&](std::size_t mx, std::size_t my, std::size_t mz) {
+    const std::size_t idx = (mx * ny + my) * nz + mz;
+    const double f = fac(mx, my, mz);
+    energy += 0.5 * f * std::norm(grid[idx]);
+    grid[idx] *= f * K;
+  };
+  for (std::size_t a = 0; a < (slab_order ? nz : nx); ++a) {
+    for (std::size_t my = 0; my < ny; ++my) {
+      for (std::size_t c = 0; c < (slab_order ? nx : nz); ++c) {
+        slab_order ? visit(c, my, a) : visit(a, my, c);
+      }
+    }
+  }
+  fft.inverse(grid.data());
+  const double sx = static_cast<double>(nx) / box.lx();
+  const double sy = static_cast<double>(ny) / box.ly();
+  const double sz = static_cast<double>(nz) / box.lz();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double q = topo.atom(static_cast<int>(i)).charge;
+    if (q == 0.0) continue;
+    const AtomSpline& s = splines[i];
+    Vec3 f{};
+    for (int jx = 0; jx < order; ++jx) {
+      const std::size_t kx = line(s, 0, jx, nx);
+      for (int jy = 0; jy < order; ++jy) {
+        const std::size_t ky = line(s, 1, jy, ny);
+        for (int jz = 0; jz < order; ++jz) {
+          const std::size_t kz = line(s, 2, jz, nz);
+          const double phi = grid[(kx * ny + ky) * nz + kz].real();
+          f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
+          f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
+          f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
+        }
+      }
+    }
+    forces[i] -= Vec3{f.x * sx, f.y * sy, f.z * sz} * q;
+  }
+  return energy;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
+}
+
+struct OracleCase {
+  std::size_t nx, ny, nz;
+  int order;
+  double beta;
+};
+
+class SerialPmeOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(SerialPmeOracleTest, BitIdenticalToScalarOracle) {
+  const OracleCase c = GetParam();
+  const auto sys = sysbuild::build_water_box(6);
+  const PmeParams params{c.nx, c.ny, c.nz, c.order, c.beta};
+  const auto n = static_cast<std::size_t>(sys.topo.natoms());
+  std::vector<Vec3> want(n, Vec3{}), got(n, Vec3{});
+  const double e_want =
+      oracle_reciprocal(params, sys.box, sys.topo, sys.positions, want);
+  SerialPme pme(params, sys.box);
+  PmeWork work;
+  const double e_got = pme.reciprocal(sys.topo, sys.positions, got, &work);
+  EXPECT_TRUE(same_bits(e_got, e_want)) << e_got << " vs " << e_want;
+  EXPECT_TRUE(same_bits(got, want));
+  const auto order3 = static_cast<std::size_t>(c.order * c.order * c.order);
+  EXPECT_EQ(work.atoms_spread, n);
+  EXPECT_EQ(work.stencil_points, 2 * n * order3);
+  EXPECT_EQ(work.mesh_points, c.nx * c.ny * c.nz);
+  EXPECT_EQ(work.fft_flops, 2.0 * fft::Fft3D(c.nx, c.ny, c.nz).flops());
+}
+
+// The paper's spline order on a cubic grid, and order 6 on a grid whose
+// stencils wrap on every axis.
+INSTANTIATE_TEST_SUITE_P(Grids, SerialPmeOracleTest,
+                         ::testing::Values(OracleCase{32, 32, 32, 4, 0.34},
+                                           OracleCase{20, 24, 20, 6, 0.30}));
+
+// ParallelPme on one rank spreads, transforms and interpolates exactly as
+// the oracle does; only its k-space visit order is the slab's [z][y][x].
+TEST(ParallelPmeOracleTest, OneRankBitIdenticalToScalarOracle) {
+  const auto sys = sysbuild::build_water_box(6);
+  const PmeParams params{20, 24, 16, 4, 0.34};
+  const auto n = static_cast<std::size_t>(sys.topo.natoms());
+  std::vector<Vec3> want(n, Vec3{}), got(n, Vec3{});
+  const double e_want = oracle_reciprocal(params, sys.box, sys.topo,
+                                          sys.positions, want, true);
+  net::ClusterConfig config;
+  config.nranks = 1;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(1);
+  double e_got = 0.0;
+  sim::Engine engine(1);
+  engine.run([&](sim::RankCtx& ctx) {
+    mpi::Comm comm(ctx, cluster, recs[0]);
+    middleware::MpiMiddleware mw(comm);
+    ParallelPme pme(params, sys.box, mw);
+    e_got = pme.reciprocal(sys.topo, sys.positions, got);
+  });
+  EXPECT_TRUE(same_bits(e_got, e_want)) << e_got << " vs " << e_want;
+  EXPECT_TRUE(same_bits(got, want));
+}
+
+// Every table layout the PME objects build holds the per-call functor's
+// exact values: the whole grid z-fastest (SerialPme), a z-slab x-fastest
+// (ParallelPme), and a stage-3 pencil box z-fastest (PencilPme).
+TEST(InfluenceTableTest, MatchesPerCallFunctor) {
+  const md::Box box(16, 10, 12);
+  const PmeParams params{20, 12, 15, 4, 0.4};
+  const Influence fac(params, box);
+  struct Layout {
+    GridRegion k;
+    bool x_fastest;
+  };
+  for (const Layout& l :
+       {Layout{{0, 20, 0, 12, 0, 15}, false}, Layout{{0, 20, 0, 12, 6, 5}, true},
+        Layout{{7, 6, 3, 4, 0, 15}, false}, Layout{{0, 20, 0, 12, 15, 0}, true}}) {
+    const auto table = influence_table(params, box, l.k, l.x_fastest);
+    ASSERT_EQ(table.size(), l.k.cx * l.k.cy * l.k.cz);
+    std::size_t at = 0, mismatches = 0;
+    for (std::size_t a = 0; a < (l.x_fastest ? l.k.cz : l.k.cx); ++a) {
+      for (std::size_t my = l.k.y0; my < l.k.y0 + l.k.cy; ++my) {
+        for (std::size_t c = 0; c < (l.x_fastest ? l.k.cx : l.k.cz); ++c) {
+          const double want = l.x_fastest
+                                  ? fac(l.k.x0 + c, my, l.k.z0 + a)
+                                  : fac(l.k.x0 + a, my, l.k.z0 + c);
+          mismatches += !same_bits(table[at++], want);
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 // --- parallel PME ---------------------------------------------------------------
