@@ -28,7 +28,7 @@ namespace repro::bench {
 // regression harness shortens runs with --steps to keep CI fast.
 struct BenchOptions {
   int steps = 10;  // MD steps per cell (the paper's measurement runs)
-  int jobs = -1;   // sweep concurrency; -1 = REPRO_JOBS / hardware default
+  int jobs = 0;    // sweep concurrency; 0 = hardware concurrency
   // CI mode: benches with large sweeps (e.g. the conclusion's 128-rank
   // scaling study) cut their factor grids down to a fast subset that
   // still exercises every code path.
@@ -75,21 +75,9 @@ inline const sysbuild::BuiltSystem& prepared_system() {
   return sys;
 }
 
-// Worker count for the bench sweeps: --jobs if given, else REPRO_JOBS if
-// set, otherwise the hardware concurrency (SweepRunner's default for
-// jobs <= 0).
-inline int default_jobs() {
-  if (options().jobs >= 0) return options().jobs;
-  if (const char* env = std::getenv("REPRO_JOBS")) {
-    try {
-      return util::parse_int(env, "REPRO_JOBS");
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      std::exit(2);
-    }
-  }
-  return 0;
-}
+// Worker count for the bench sweeps: --jobs if given, otherwise 0, the
+// hardware concurrency (SweepRunner's default for jobs <= 0).
+inline int default_jobs() { return options().jobs; }
 
 namespace detail {
 using CellKey = std::tuple<net::Network, middleware::Kind, int, int>;

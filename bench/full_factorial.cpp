@@ -5,8 +5,8 @@
 // produces the complete table.
 //
 // Flags:
-//   --jobs=N   worker threads for the sweep (default: hardware concurrency,
-//              or REPRO_JOBS; 1 runs sequentially). Output is identical
+//   --jobs=N   worker threads for the sweep (default: hardware
+//              concurrency; 1 runs sequentially). Output is identical
 //              for any N — only wall-clock changes.
 //   --steps=N  MD steps per cell (default 10, the paper's run length)
 //   --procs=A,B,...  processor counts to sweep (default 2,4,8)

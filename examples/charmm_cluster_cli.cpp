@@ -364,8 +364,8 @@ void usage() {
       "                    spatial[:grid=AxBxC][:pme=pencil[:grid=PyxPz]]\n"
       "                    [:ldb=greedy|refine|off[,units=K]]]\n"
       "                [--kernel scalar|simd]  physics kernel variant\n"
-      "                    (default scalar, or $REPRO_KERNEL; identical\n"
-      "                    simulated results, host wall clock differs)\n"
+      "                    (default scalar; identical simulated\n"
+      "                    results, host wall clock differs)\n"
       "                [--power=SPEC]  energy-to-solution model, e.g.\n"
       "                    'static=55,dynamic=25,phase:pme_recip=18' (watts)\n"
       "                [--timeline]\n"

@@ -43,7 +43,7 @@ struct CharmmConfig {
   // spread/interpolation); see util/kernel.hpp. Both variants
   // report identical work counters, so simulated timings are unaffected —
   // the factor only changes the host's wall-clock.
-  util::KernelKind kernel = util::default_kernel_kind();
+  util::KernelKind kernel = util::KernelKind::kScalar;
 
   // CHARMM synchronizes before its global operations ("coherency
   // maintenance"). Turning this off lets skew flow into the data

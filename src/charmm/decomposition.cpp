@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
 #include <optional>
 
 #include "charmm/ldb.hpp"
@@ -49,9 +50,263 @@ void check_tag_budget(const CharmmConfig& config) {
 }
 
 // --------------------------------------------------------------------------
-// Replicated-data atom decomposition — the paper's CHARMM parallelization,
-// extracted verbatim from the original run_charmm_rank so the default
-// behaviour (and every golden file) is preserved to the byte.
+// Per-rank physics shared by every decomposition: the rank's state and the
+// phases of CHARMM's energy routine, each under its phase label with its
+// modeled compute charge. A decomposition's run() calls these in its own
+// order and keeps only its message schedule — barriers, reductions, halos,
+// the PME variant and the load balancer's bookkeeping. The atom and force
+// decompositions share one schedule up to their force reduction
+// (run_replicated below).
+// --------------------------------------------------------------------------
+
+// The force-field terms one rank evaluates.
+struct TermShare {
+  // Replicated data: slice `shard` of `nshards` of every term list.
+  int shard = 0;
+  int nshards = 1;
+  // Force decomposition: non-bonded pair (i, j) belongs to shard
+  // (block_of[i] + block_of[j]) mod nshards.
+  const std::vector<int>* block_of = nullptr;
+  // Spatial: the terms whose first atom is owned, over a pair list of the
+  // owned rows against `candidates` (owned atoms plus ghosts);
+  // `owned_excl` counts the exclusion pairs of owned atoms.
+  const std::vector<std::uint8_t>* owned_mask = nullptr;
+  const std::vector<int>* candidates = nullptr;
+  std::size_t owned_excl = 0;
+};
+
+md::NonbondedOptions nonbonded_options(const md::Topology& topo,
+                                       const CharmmConfig& config) {
+  md::NonbondedOptions nb;
+  nb.cutoff = config.cutoff;
+  nb.switch_on = config.switch_on;
+  nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
+                           : md::NonbondedOptions::Elec::kShift;
+  nb.beta = config.pme.beta;
+  nb.kernel = config.kernel;
+  nb.table = md::build_pair_table(topo);
+  return nb;
+}
+
+class RankPhysics {
+ public:
+  // Built first, so the pair table is allocated ahead of the per-atom
+  // arrays: host peak RSS of back-to-back runs in one process (a p=128
+  // spatial run, then its p=1 reference) depends on the heap layout.
+  const md::NonbondedOptions nb;
+  const md::Topology& topo;
+  const md::Box& box;
+  // Full-size arrays. Replicated decompositions keep every row current;
+  // spatial keeps its owned rows (positions and velocities) and its
+  // ghosts' positions.
+  std::vector<Vec3> pos;
+  std::vector<Vec3> vel;
+  std::vector<Vec3> forces;
+  // The atoms this rank integrates, ascending, when it owns a subset
+  // (spatial); a replicated rank integrates every atom.
+  std::optional<std::vector<int>> owned;
+  md::NeighborList nbl;
+
+  RankPhysics(const sysbuild::BuiltSystem& sys, const CharmmConfig& config,
+              mpi::Comm& comm)
+      : nb(nonbonded_options(sys.topo, config)),
+        topo(sys.topo),
+        box(sys.box),
+        pos(sys.positions),
+        forces(static_cast<std::size_t>(topo.natoms())),
+        nbl(config.cutoff, config.skin),
+        config_(config),
+        comm_(comm) {
+    // Velocities are assigned replicated, so every decomposition starts
+    // from the sequential run's state bit for bit.
+    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
+  }
+
+  // PME's compute charge: its flops at the cost model's rate, booked to
+  // whatever component is active.
+  std::function<void(double)> flop_charge() {
+    return [this](double flops) {
+      comm_.compute(flops * config_.cost.seconds_per_flop);
+    };
+  }
+
+  void zero_forces() { std::fill(forces.begin(), forces.end(), Vec3{}); }
+
+  void build_list(const TermShare& share) {
+    perf::PhaseScope phase(comm_.recorder(), "list_build");
+    if (share.owned_mask != nullptr) {
+      nbl.build_subset(topo, box, pos, *share.candidates, *share.owned_mask);
+    } else {
+      nbl.build(topo, box, pos);
+    }
+    comm_.compute(config_.cost.seconds_per_list_pair *
+                  static_cast<double>(nbl.npairs()) * 2.0);
+  }
+
+  // The classic routine's terms of this rank's share — bonded, non-bonded
+  // and, with PME, the real-space Ewald corrections plus the self energy
+  // (rank 0 only) — accumulated into `forces` and `energy`. Returns the
+  // seconds charged to the bonded, nonbonded and ewald_corr phases.
+  std::array<double, 3> classic_terms(const TermShare& share,
+                                      md::EnergyTerms& energy) {
+    perf::RankRecorder& rec = comm_.recorder();
+    const CostModel& cost = config_.cost;
+    std::array<double, 3> sec{};
+    {
+      perf::PhaseScope phase(rec, "bonded");
+      const md::BondedWork bw =
+          share.owned_mask != nullptr
+              ? md::bonded_energy_owned(topo, box, pos, *share.owned_mask,
+                                        forces, energy)
+              : md::bonded_energy(topo, box, pos, forces, energy,
+                                  share.shard, share.nshards);
+      sec[0] = cost.seconds_per_bonded_term * static_cast<double>(bw.total());
+      comm_.compute(sec[0]);
+    }
+    {
+      perf::PhaseScope phase(rec, "nonbonded");
+      const md::NonbondedWork nw =
+          share.block_of != nullptr
+              ? md::nonbonded_energy_blocked(topo, box, pos, nbl, nb,
+                                             *share.block_of, share.shard,
+                                             share.nshards, forces, energy)
+              : md::nonbonded_energy(topo, box, pos, nbl, nb, forces,
+                                     energy, share.shard, share.nshards);
+      sec[1] = cost.seconds_per_pair * static_cast<double>(nw.pairs_listed);
+      comm_.compute(sec[1]);
+    }
+    if (!config_.use_pme) return sec;
+    {
+      // Real-space corrections stay in the classic (time-domain) part.
+      perf::PhaseScope phase(rec, "ewald_corr");
+      const double beta = config_.pme.beta;
+      if (share.owned_mask != nullptr) {
+        energy.ewald_excl += pme::ewald_exclusion_correction_owned(
+            topo, box, pos, *share.owned_mask, beta, forces);
+        sec[2] = cost.seconds_per_bonded_term *
+                 static_cast<double>(share.owned_excl);
+      } else {
+        energy.ewald_excl += pme::ewald_exclusion_correction(
+            topo, box, pos, beta, forces, share.shard, share.nshards);
+        sec[2] = cost.seconds_per_bonded_term *
+                 static_cast<double>(topo.excluded_pairs().size()) /
+                 static_cast<double>(share.nshards);
+      }
+      comm_.compute(sec[2]);
+    }
+    if (comm_.rank() == 0) {
+      energy.ewald_self += pme::ewald_self_energy(topo, config_.pme.beta);
+    }
+    return sec;
+  }
+
+  // Integrates the owned atoms — outside the measured energy routine, as
+  // the paper times it — and closes the step.
+  void end_step() {
+    perf::RankRecorder& rec = comm_.recorder();
+    rec.set_component(perf::Component::kOther);
+    {
+      perf::PhaseScope phase(rec, "integrate");
+      comm_.compute(config_.cost.seconds_per_integration_atom *
+                    static_cast<double>(owned ? owned->size() : pos.size()));
+    }
+    const double kick = config_.dt_ps * units::kForceToAccel;
+    for_each_owned([&](int i) {
+      const auto ui = static_cast<std::size_t>(i);
+      vel[ui] += forces[ui] * (kick / topo.atom(i).mass);
+      pos[ui] += vel[ui] * config_.dt_ps;
+    });
+    rec.end_step();
+  }
+
+  // Sum of the owned atoms' coordinates.
+  double position_checksum() const {
+    double sum = 0.0;
+    for_each_owned([&](int i) {
+      const Vec3& r = pos[static_cast<std::size_t>(i)];
+      sum += r.x + r.y + r.z;
+    });
+    return sum;
+  }
+
+ private:
+  template <typename F>
+  void for_each_owned(F&& f) const {
+    if (owned) {
+      for (int i : *owned) f(i);
+    } else {
+      for (int i = 0; i < topo.natoms(); ++i) f(i);
+    }
+  }
+
+  const CharmmConfig& config_;
+  mpi::Comm& comm_;
+};
+
+// Comm-wide sum of the energy terms. Every rank issues it, so the
+// collective tag counters stay aligned.
+void global_sum_energy(middleware::Middleware& mw, md::EnergyTerms& energy) {
+  std::array<double, md::EnergyTerms::kCount> earr = energy.to_array();
+  mw.global_sum(earr.data(), earr.size());
+  energy = md::EnergyTerms::from_array(earr);
+}
+
+// The step of the replicated-force decompositions (atom, force): every
+// rank evaluates its share of the classic terms, then the slab PME, each
+// behind CHARMM's coherency barrier; `combine(step, forces, energy)` —
+// the decomposition's own reduction — leaves every rank with the summed
+// forces and energy terms, and every rank integrates every atom.
+RankRunResult run_replicated(
+    const sysbuild::BuiltSystem& sys, const CharmmConfig& config,
+    middleware::Middleware& mw, const TermShare& share,
+    const std::function<void(int, std::vector<Vec3>&, md::EnergyTerms&)>&
+        combine) {
+  mpi::Comm& comm = mw.comm();
+  perf::RankRecorder& rec = comm.recorder();
+  RankPhysics phys(sys, config, comm);
+  pme::ParallelPme ppme(config.pme, sys.box, mw, phys.flop_charge());
+
+  RankRunResult result;
+  for (int step = 0; step < config.nsteps; ++step) {
+    // ------------------------------------------------ classic routine --
+    rec.set_component(perf::Component::kClassic);
+    // Coherency barrier at energy entry (CHARMM synchronizes its parallel
+    // energy call).
+    if (config.coherency_barriers) mw.synchronize();
+    if (step % config.list_rebuild_interval == 0) phys.build_list(share);
+    result.pairs_in_list = phys.nbl.npairs();
+
+    phys.zero_forces();
+    md::EnergyTerms energy;
+    phys.classic_terms(share, energy);
+
+    if (config.use_pme) {
+      // -------------------------------------------------- PME routine --
+      rec.set_component(perf::Component::kPme);
+      // Coherency point before entering the frequency-domain phase.
+      if (config.coherency_barriers) mw.synchronize();
+      {
+        perf::PhaseScope phase(rec, "pme_recip");
+        energy.ewald_recip += ppme.reciprocal(sys.topo, phys.pos,
+                                              phys.forces);
+      }
+      rec.set_component(perf::Component::kClassic);
+    }
+
+    // CHARMM synchronizes before combining, which is where load imbalance
+    // lands.
+    if (config.coherency_barriers) mw.synchronize();
+    combine(step, phys.forces, energy);
+    result.last_energy = energy;
+    phys.end_step();
+  }
+  result.position_checksum = phys.position_checksum();
+  return result;
+}
+
+// --------------------------------------------------------------------------
+// Replicated-data atom decomposition — the paper's CHARMM parallelization
+// and the reference every golden file pins.
 // --------------------------------------------------------------------------
 class AtomReplicatedDecomposition final : public Decomposition {
  public:
@@ -61,137 +316,20 @@ class AtomReplicatedDecomposition final : public Decomposition {
                     const CharmmConfig& config,
                     middleware::Middleware& mw) const override {
     mpi::Comm& comm = mw.comm();
-    perf::RankRecorder& rec = comm.recorder();
-    const int p = comm.size();
-    const int shard = comm.rank();
-    const CostModel& cost = config.cost;
-    const md::Topology& topo = sys.topo;
-    const md::Box& box = sys.box;
-    const auto natoms = static_cast<std::size_t>(topo.natoms());
-
-    md::NonbondedOptions nb;
-    nb.cutoff = config.cutoff;
-    nb.switch_on = config.switch_on;
-    nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
-                             : md::NonbondedOptions::Elec::kShift;
-    nb.beta = config.pme.beta;
-    nb.kernel = config.kernel;
-    nb.table = md::build_pair_table(topo);
-
-    // Replicated state: identical on every rank (the global sum broadcasts
-    // bitwise-identical forces, so trajectories never diverge across
-    // ranks).
-    std::vector<Vec3> pos = sys.positions;
-    std::vector<Vec3> vel;
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
-    std::vector<Vec3> forces(natoms);
     std::vector<double> flat;
-    md::NeighborList nbl(config.cutoff, config.skin);
-
-    // PME machinery: compute cost flows through the middleware's component
-    // recorder, so FFT/spreading time lands in whatever component is
-    // active.
-    pme::ParallelPme ppme(
-        config.pme, box, mw,
-        [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
-
-    RankRunResult result;
-    for (int step = 0; step < config.nsteps; ++step) {
-      // ---------------------------------------------- classic routine --
-      rec.set_component(perf::Component::kClassic);
-      // Coherency barrier at energy entry (CHARMM synchronizes its
-      // parallel energy call).
-      if (config.coherency_barriers) mw.synchronize();
-
-      if (step % config.list_rebuild_interval == 0) {
-        perf::PhaseScope phase(rec, "list_build");
-        nbl.build(topo, box, pos);
-        comm.compute(cost.seconds_per_list_pair *
-                     static_cast<double>(nbl.npairs()) * 2.0);
-      }
-      result.pairs_in_list = nbl.npairs();
-
-      std::fill(forces.begin(), forces.end(), Vec3{});
-      md::EnergyTerms energy;
-
-      {
-        perf::PhaseScope phase(rec, "bonded");
-        const md::BondedWork bw =
-            md::bonded_energy(topo, box, pos, forces, energy, shard, p);
-        comm.compute(cost.seconds_per_bonded_term *
-                     static_cast<double>(bw.total()));
-      }
-
-      {
-        perf::PhaseScope phase(rec, "nonbonded");
-        const md::NonbondedWork nw = md::nonbonded_energy(
-            topo, box, pos, nbl, nb, forces, energy, shard, p);
-        comm.compute(cost.seconds_per_pair *
-                     static_cast<double>(nw.pairs_listed));
-      }
-
-      if (config.use_pme) {
-        // Real-space corrections stay in the classic (time-domain) part.
-        {
-          perf::PhaseScope phase(rec, "ewald_corr");
-          energy.ewald_excl += pme::ewald_exclusion_correction(
-              topo, box, pos, config.pme.beta, forces, shard, p);
-          comm.compute(cost.seconds_per_bonded_term *
-                       static_cast<double>(topo.excluded_pairs().size()) /
-                       static_cast<double>(p));
-        }
-        if (shard == 0) {
-          energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
-        }
-
-        // ------------------------------------------------ PME routine --
-        rec.set_component(perf::Component::kPme);
-        // Coherency point before entering the frequency-domain phase.
-        if (config.coherency_barriers) mw.synchronize();
-        {
-          perf::PhaseScope phase(rec, "pme_recip");
-          energy.ewald_recip += ppme.reciprocal(topo, pos, forces);
-        }
-        rec.set_component(perf::Component::kClassic);
-      }
-
-      // The all-to-all collective that ends the classic energy
-      // calculation: global force reduction plus the (small) energy
-      // reduction. CHARMM synchronizes before combining, which is where
-      // load imbalance lands.
-      if (config.coherency_barriers) mw.synchronize();
-      {
-        perf::PhaseScope phase(rec, "force_reduce");
-        util::flatten(forces, flat);
-        mw.global_sum(flat.data(), flat.size());
-        util::unflatten(flat, forces);
-        std::array<double, md::EnergyTerms::kCount> earr = energy.to_array();
-        mw.global_sum(earr.data(), earr.size());
-        energy = md::EnergyTerms::from_array(earr);
-      }
-      result.last_energy = energy;
-
-      // -------------------------------------------------- integration --
-      // Not part of the measured energy calculation (the paper times the
-      // energy routines); replicated on every rank.
-      rec.set_component(perf::Component::kOther);
-      {
-        perf::PhaseScope phase(rec, "integrate");
-        comm.compute(cost.seconds_per_integration_atom *
-                     static_cast<double>(natoms));
-      }
-      const double kick = config.dt_ps * units::kForceToAccel;
-      for (std::size_t i = 0; i < natoms; ++i) {
-        vel[i] += forces[i] * (kick / topo.atom(static_cast<int>(i)).mass);
-        pos[i] += vel[i] * config.dt_ps;
-      }
-      rec.end_step();
-    }
-
-    for (const auto& r : pos) {
-      result.position_checksum += r.x + r.y + r.z;
-    }
-    return result;
+    // The all-to-all collective that ends the classic energy calculation:
+    // global force reduction plus the (small) energy reduction. The
+    // global sum broadcasts bitwise-identical forces, so trajectories
+    // never diverge across ranks.
+    return run_replicated(
+        sys, config, mw, TermShare{comm.rank(), comm.size()},
+        [&](int, std::vector<Vec3>& forces, md::EnergyTerms& energy) {
+          perf::PhaseScope phase(comm.recorder(), "force_reduce");
+          util::flatten(forces, flat);
+          mw.global_sum(flat.data(), flat.size());
+          util::unflatten(flat, forces);
+          global_sum_energy(mw, energy);
+        });
   }
 };
 
@@ -216,22 +354,8 @@ class ForceDecomposition final : public Decomposition {
                     middleware::Middleware& mw) const override {
     check_tag_budget(config);
     mpi::Comm& comm = mw.comm();
-    perf::RankRecorder& rec = comm.recorder();
     const int p = comm.size();
-    const int me = comm.rank();
-    const CostModel& cost = config.cost;
-    const md::Topology& topo = sys.topo;
-    const md::Box& box = sys.box;
-    const auto natoms = static_cast<std::size_t>(topo.natoms());
-
-    md::NonbondedOptions nb;
-    nb.cutoff = config.cutoff;
-    nb.switch_on = config.switch_on;
-    nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
-                             : md::NonbondedOptions::Elec::kShift;
-    nb.beta = config.pme.beta;
-    nb.kernel = config.kernel;
-    nb.table = md::build_pair_table(topo);
+    const auto natoms = static_cast<std::size_t>(sys.topo.natoms());
 
     // Contiguous atom blocks, one per rank (front-loaded remainder, the
     // same partition shape the slab FFT uses).
@@ -243,104 +367,17 @@ class ForceDecomposition final : public Decomposition {
       }
     }
 
-    std::vector<Vec3> pos = sys.positions;
-    std::vector<Vec3> vel;
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
-    std::vector<Vec3> forces(natoms);
     std::vector<double> flat;
     std::vector<double> scratch;
-    md::NeighborList nbl(config.cutoff, config.skin);
-
-    pme::ParallelPme ppme(
-        config.pme, box, mw,
-        [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
-
-    RankRunResult result;
-    for (int step = 0; step < config.nsteps; ++step) {
-      rec.set_component(perf::Component::kClassic);
-      if (config.coherency_barriers) mw.synchronize();
-
-      if (step % config.list_rebuild_interval == 0) {
-        perf::PhaseScope phase(rec, "list_build");
-        nbl.build(topo, box, pos);
-        comm.compute(cost.seconds_per_list_pair *
-                     static_cast<double>(nbl.npairs()) * 2.0);
-      }
-      result.pairs_in_list = nbl.npairs();
-
-      std::fill(forces.begin(), forces.end(), Vec3{});
-      md::EnergyTerms energy;
-
-      {
-        perf::PhaseScope phase(rec, "bonded");
-        const md::BondedWork bw =
-            md::bonded_energy(topo, box, pos, forces, energy, me, p);
-        comm.compute(cost.seconds_per_bonded_term *
-                     static_cast<double>(bw.total()));
-      }
-
-      {
-        perf::PhaseScope phase(rec, "nonbonded");
-        const md::NonbondedWork nw = md::nonbonded_energy_blocked(
-            topo, box, pos, nbl, nb, block_of, me, p, forces, energy);
-        comm.compute(cost.seconds_per_pair *
-                     static_cast<double>(nw.pairs_listed));
-      }
-
-      if (config.use_pme) {
-        {
-          perf::PhaseScope phase(rec, "ewald_corr");
-          energy.ewald_excl += pme::ewald_exclusion_correction(
-              topo, box, pos, config.pme.beta, forces, me, p);
-          comm.compute(cost.seconds_per_bonded_term *
-                       static_cast<double>(topo.excluded_pairs().size()) /
-                       static_cast<double>(p));
-        }
-        if (me == 0) {
-          energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
-        }
-
-        rec.set_component(perf::Component::kPme);
-        if (config.coherency_barriers) mw.synchronize();
-        {
-          perf::PhaseScope phase(rec, "pme_recip");
-          energy.ewald_recip += ppme.reciprocal(topo, pos, forces);
-        }
-        rec.set_component(perf::Component::kClassic);
-      }
-
-      if (config.coherency_barriers) mw.synchronize();
-      util::flatten(forces, flat);
-      fold_expand(comm, blocks, flat, scratch, step);
-      util::unflatten(flat, forces);
-      {
-        // The energy scalars still need a comm-wide reduction; every rank
-        // issues it, so the collective tag counters stay aligned.
-        perf::PhaseScope phase(rec, "energy_reduce");
-        std::array<double, md::EnergyTerms::kCount> earr = energy.to_array();
-        mw.global_sum(earr.data(), earr.size());
-        energy = md::EnergyTerms::from_array(earr);
-      }
-      result.last_energy = energy;
-
-      rec.set_component(perf::Component::kOther);
-      {
-        perf::PhaseScope phase(rec, "integrate");
-        comm.compute(cost.seconds_per_integration_atom *
-                     static_cast<double>(natoms));
-      }
-      const double kick = config.dt_ps * units::kForceToAccel;
-      for (std::size_t i = 0; i < natoms; ++i) {
-        vel[i] += forces[i] * (kick / topo.atom(static_cast<int>(i)).mass);
-        pos[i] += vel[i] * config.dt_ps;
-      }
-      rec.end_step();
-    }
-
-    for (const auto& r : pos) {
-      result.position_checksum += r.x + r.y + r.z;
-    }
-    return result;
+    return run_replicated(
+        sys, config, mw, TermShare{comm.rank(), p, &block_of},
+        [&](int step, std::vector<Vec3>& forces, md::EnergyTerms& energy) {
+          util::flatten(forces, flat);
+          fold_expand(comm, blocks, flat, scratch, step);
+          util::unflatten(flat, forces);
+          perf::PhaseScope phase(comm.recorder(), "energy_reduce");
+          global_sum_energy(mw, energy);
+        });
   }
 
  private:
@@ -429,27 +466,12 @@ class TaskPmeDecomposition final : public Decomposition {
     const int me = comm.rank();
     const bool is_pme = me >= q;
     perf::RankRecorder& rec = comm.recorder();
-    const CostModel& cost = config.cost;
-    const md::Topology& topo = sys.topo;
-    const md::Box& box = sys.box;
-    const auto natoms = static_cast<std::size_t>(topo.natoms());
 
-    md::NonbondedOptions nb;
-    nb.cutoff = config.cutoff;
-    nb.switch_on = config.switch_on;
-    nb.elec = md::NonbondedOptions::Elec::kEwaldDirect;
-    nb.beta = config.pme.beta;
-    nb.kernel = config.kernel;
-    nb.table = md::build_pair_table(topo);
-
-    std::vector<Vec3> pos = sys.positions;
-    std::vector<Vec3> vel;
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
-    std::vector<Vec3> forces(natoms);
+    RankPhysics phys(sys, config, comm);
+    const TermShare share{me, q};
     std::vector<double> flat;
     std::vector<double> combined;
     std::vector<double> scratch;
-    md::NeighborList nbl(config.cutoff, config.skin);
 
     // The PME group's middleware presents ranks [q, p) as a communicator
     // of size m; the slab FFT and spreading inside ParallelPme see only
@@ -458,9 +480,7 @@ class TaskPmeDecomposition final : public Decomposition {
     std::optional<pme::ParallelPme> ppme;
     if (is_pme) {
       gmw.emplace(comm, q, m);
-      ppme.emplace(
-          config.pme, box, *gmw,
-          [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
+      ppme.emplace(config.pme, sys.box, *gmw, phys.flop_charge());
     }
 
     const std::size_t nterms = md::EnergyTerms::kCount;
@@ -472,46 +492,16 @@ class TaskPmeDecomposition final : public Decomposition {
       // the only synchronization until the two task groups join below.
       if (config.coherency_barriers) mw.synchronize();
 
-      std::fill(forces.begin(), forces.end(), Vec3{});
+      phys.zero_forces();
       md::EnergyTerms energy;
-
       if (is_pme) {
         perf::PhaseScope phase(rec, "pme_recip");
-        energy.ewald_recip += ppme->reciprocal(topo, pos, forces);
+        energy.ewald_recip += ppme->reciprocal(sys.topo, phys.pos,
+                                               phys.forces);
       } else {
-        if (step % config.list_rebuild_interval == 0) {
-          perf::PhaseScope phase(rec, "list_build");
-          nbl.build(topo, box, pos);
-          comm.compute(cost.seconds_per_list_pair *
-                       static_cast<double>(nbl.npairs()) * 2.0);
-        }
-        result.pairs_in_list = nbl.npairs();
-
-        {
-          perf::PhaseScope phase(rec, "bonded");
-          const md::BondedWork bw =
-              md::bonded_energy(topo, box, pos, forces, energy, me, q);
-          comm.compute(cost.seconds_per_bonded_term *
-                       static_cast<double>(bw.total()));
-        }
-        {
-          perf::PhaseScope phase(rec, "nonbonded");
-          const md::NonbondedWork nw = md::nonbonded_energy(
-              topo, box, pos, nbl, nb, forces, energy, me, q);
-          comm.compute(cost.seconds_per_pair *
-                       static_cast<double>(nw.pairs_listed));
-        }
-        {
-          perf::PhaseScope phase(rec, "ewald_corr");
-          energy.ewald_excl += pme::ewald_exclusion_correction(
-              topo, box, pos, config.pme.beta, forces, me, q);
-          comm.compute(cost.seconds_per_bonded_term *
-                       static_cast<double>(topo.excluded_pairs().size()) /
-                       static_cast<double>(q));
-        }
-        if (me == 0) {
-          energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
-        }
+        if (step % config.list_rebuild_interval == 0) phys.build_list(share);
+        result.pairs_in_list = phys.nbl.npairs();
+        phys.classic_terms(share, energy);
       }
 
       // Join point: the groups must combine their halves anyway, so the
@@ -522,7 +512,7 @@ class TaskPmeDecomposition final : public Decomposition {
 
       // Pack forces + energy terms into one buffer so the combine is a
       // single message chain instead of two.
-      util::flatten(forces, flat);
+      util::flatten(phys.forces, flat);
       combined.resize(flat.size() + nterms);
       std::memcpy(combined.data(), flat.data(),
                   flat.size() * sizeof(double));
@@ -532,17 +522,17 @@ class TaskPmeDecomposition final : public Decomposition {
                   nterms * sizeof(double));
 
       // Group-internal binomial reduce to the group root (rank 0 for the
-      // classic group, rank q for the PME group) — point-to-point only,
-      // so the groups' different programs cannot misalign the comm-wide
+      // classic group, rank q for the PME group) on schedule tags, so the
+      // groups' different programs cannot misalign the comm-wide
       // collective tag counters.
       if (is_pme) {
         perf::PhaseScope phase(rec, "pme_group_reduce");
-        group_reduce_sum(comm, q, m, combined, scratch,
-                         schedule_tag(step, 1));
+        comm.reduce_sum(combined.data(), combined.size(), 0, {q, m},
+                        schedule_tag(step, 1));
       } else {
         perf::PhaseScope phase(rec, "classic_group_reduce");
-        group_reduce_sum(comm, 0, q, combined, scratch,
-                         schedule_tag(step, 0));
+        comm.reduce_sum(combined.data(), combined.size(), 0, {0, q},
+                        schedule_tag(step, 0));
       }
 
       // The PME root ships its group's total to rank 0, which owns the
@@ -568,66 +558,24 @@ class TaskPmeDecomposition final : public Decomposition {
       }
       std::memcpy(flat.data(), combined.data(),
                   flat.size() * sizeof(double));
-      util::unflatten(flat, forces);
+      util::unflatten(flat, phys.forces);
       std::array<double, md::EnergyTerms::kCount> total_earr{};
       std::memcpy(total_earr.data(), combined.data() + flat.size(),
                   nterms * sizeof(double));
-      energy = md::EnergyTerms::from_array(total_earr);
-      result.last_energy = energy;
-
-      rec.set_component(perf::Component::kOther);
-      {
-        perf::PhaseScope phase(rec, "integrate");
-        comm.compute(cost.seconds_per_integration_atom *
-                     static_cast<double>(natoms));
-      }
-      const double kick = config.dt_ps * units::kForceToAccel;
-      for (std::size_t i = 0; i < natoms; ++i) {
-        vel[i] += forces[i] * (kick / topo.atom(static_cast<int>(i)).mass);
-        pos[i] += vel[i] * config.dt_ps;
-      }
-      rec.end_step();
+      result.last_energy = md::EnergyTerms::from_array(total_earr);
+      phys.end_step();
     }
-
-    for (const auto& r : pos) {
-      result.position_checksum += r.x + r.y + r.z;
-    }
+    result.position_checksum = phys.position_checksum();
     return result;
   }
 
  private:
-  // Binomial-tree sum over the rank group [base, base + gsize) to the
-  // group root `base` (the same tree Comm::reduce_sum builds), using an
-  // explicit tag instead of the comm-wide collective counter.
-  static void group_reduce_sum(mpi::Comm& comm, int base, int gsize,
-                               std::vector<double>& data,
-                               std::vector<double>& scratch, int tag) {
-    if (gsize == 1) return;
-    const int gr = comm.rank() - base;
-    const std::size_t n = data.size();
-    scratch.resize(n);
-    int mask = 1;
-    while (mask < gsize) {
-      if ((gr & mask) == 0) {
-        const int peer = gr | mask;
-        if (peer < gsize) {
-          comm.recv(base + peer, tag, scratch.data(), n * sizeof(double));
-          for (std::size_t i = 0; i < n; ++i) data[i] += scratch[i];
-        }
-      } else {
-        comm.send(base + (gr & ~mask), tag, data.data(),
-                  n * sizeof(double));
-        break;
-      }
-      mask <<= 1;
-    }
-  }
-
   // Middleware over the contiguous rank group [base, base + size): rank()
-  // and size() report group coordinates; the operations mirror the MPI
-  // personality's algorithms but draw point-to-point tags from a private
-  // sequence (kGroupTagBase..) instead of the comm-wide collective
-  // counter, so the other group's program never has to participate.
+  // and size() report group coordinates, and transpose() is mpi::Comm's
+  // pairwise all-to-all over the group on tags from a private sequence
+  // (kGroupTagBase..) instead of the comm-wide collective counter, so the
+  // other group's program never has to participate. ParallelPme, its only
+  // user, needs no other collective.
   class GroupMiddleware final : public middleware::Middleware {
    public:
     GroupMiddleware(mpi::Comm& comm, int base, int size)
@@ -636,79 +584,26 @@ class TaskPmeDecomposition final : public Decomposition {
     int rank() const override { return comm_.rank() - base_; }
     int size() const override { return size_; }
 
-    void global_sum(double* data, std::size_t n) override {
-      if (size_ == 1) return;
-      std::vector<double> scratch;
-      std::vector<double> vec(data, data + n);
-      group_reduce_sum(comm_, base_, size_, vec, scratch, next_tag());
-      std::memcpy(data, vec.data(), n * sizeof(double));
-      broadcast(data, n * sizeof(double), 0);
-    }
-
-    void synchronize() override {
-      if (size_ == 1) return;
-      mpi::Comm::SyncScope sync(comm_);
-      const int tag = next_tag();
-      const int gr = rank();
-      for (int k = 1; k < size_; k <<= 1) {
-        comm_.send(base_ + (gr + k) % size_, tag, nullptr, 0);
-        comm_.recv(base_ + (gr - k + size_) % size_, tag, nullptr, 0);
-      }
-    }
-
     void transpose(const void* send,
                    const std::vector<std::size_t>& send_counts,
                    const std::vector<std::size_t>& send_displs, void* recv,
                    const std::vector<std::size_t>& recv_counts,
                    const std::vector<std::size_t>& recv_displs) override {
-      const int gp = size_;
-      const int gr = rank();
-      REPRO_REQUIRE(send_counts.size() == static_cast<std::size_t>(gp) &&
-                        recv_counts.size() == static_cast<std::size_t>(gp),
-                    "group transpose: counts must have one entry per rank");
-      const auto* in = static_cast<const unsigned char*>(send);
-      auto* out = static_cast<unsigned char*>(recv);
-      std::memcpy(out + recv_displs[static_cast<std::size_t>(gr)],
-                  in + send_displs[static_cast<std::size_t>(gr)],
-                  send_counts[static_cast<std::size_t>(gr)]);
-      if (gp == 1) return;
       perf::PhaseScope phase(comm_.recorder(), "pme_transpose");
-      const int tag = next_tag();
-      for (int k = 1; k < gp; ++k) {
-        const auto dst = static_cast<std::size_t>((gr + k) % gp);
-        const auto src = static_cast<std::size_t>((gr - k + gp) % gp);
-        comm_.send(base_ + static_cast<int>(dst), tag,
-                   in + send_displs[dst], send_counts[dst],
-                   /*exchange=*/true);
-        comm_.recv(base_ + static_cast<int>(src), tag,
-                   out + recv_displs[src], recv_counts[src]);
-      }
+      comm_.alltoallv(send, send_counts, send_displs, recv, recv_counts,
+                      recv_displs, {base_, size_},
+                      size_ > 1 ? next_tag() : 0);
     }
 
-    void broadcast(void* data, std::size_t bytes, int root) override {
-      if (size_ == 1) return;
-      const int tag = next_tag();
-      const int vrank = (rank() - root + size_) % size_;
-      int mask = 1;
-      while (mask < size_) {
-        if (vrank & mask) {
-          comm_.recv(base_ + (vrank - mask + root) % size_, tag, data,
-                     bytes);
-          break;
-        }
-        mask <<= 1;
-      }
-      mask >>= 1;
-      while (mask > 0) {
-        if (vrank + mask < size_) {
-          comm_.send(base_ + (vrank + mask + root) % size_, tag, data,
-                     bytes);
-        }
-        mask >>= 1;
-      }
-    }
+    void global_sum(double*, std::size_t) override { unsupported(); }
+    void synchronize() override { unsupported(); }
+    void broadcast(void*, std::size_t, int) override { unsupported(); }
 
    private:
+    [[noreturn]] static void unsupported() {
+      REPRO_UNREACHABLE("the PME group middleware only transposes");
+    }
+
     int next_tag() {
       REPRO_REQUIRE(kGroupTagBase + static_cast<int>(seq_) <
                         mpi::Comm::kCollectiveTagBase,
@@ -752,6 +647,12 @@ class TaskPmeDecomposition final : public Decomposition {
 // before the ghost renegotiation. With ldb=off none of this machinery
 // runs and the schedule is byte-identical to the paragraphs above.
 // --------------------------------------------------------------------------
+void append_xyz(std::vector<double>& b, const Vec3& v) {
+  b.push_back(v.x);
+  b.push_back(v.y);
+  b.push_back(v.z);
+}
+
 class SpatialDecomposition final : public Decomposition {
  public:
   explicit SpatialDecomposition(const DecompSpec& spec) : spec_(spec) {}
@@ -804,32 +705,17 @@ class SpatialDecomposition final : public Decomposition {
         layout.rank_neighbors[static_cast<std::size_t>(me)];
     std::size_t nn = nbrs.size();
 
-    md::NonbondedOptions nb;
-    nb.cutoff = config.cutoff;
-    nb.switch_on = config.switch_on;
-    nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
-                             : md::NonbondedOptions::Elec::kShift;
-    nb.beta = config.pme.beta;
-    nb.kernel = config.kernel;
-    nb.table = md::build_pair_table(topo);
-
-    // Full-size arrays; only owned (pos+vel) and ghost (pos) entries are
-    // current. Velocities are assigned replicated so the initial owned
-    // slices agree bitwise with the sequential run.
-    std::vector<Vec3> pos = sys.positions;
-    std::vector<Vec3> vel;
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
-    std::vector<Vec3> forces(natoms);
+    RankPhysics phys(sys, config, comm);
+    std::vector<Vec3>& pos = phys.pos;
+    std::vector<Vec3>& vel = phys.vel;
+    std::vector<Vec3>& forces = phys.forces;
     std::vector<Vec3> recip_forces;
     std::vector<double> flat;
-    md::NeighborList nbl(config.cutoff, config.skin);
 
     // Slab or pencil PME. Neither constructor communicates or charges
     // compute, so wrapping the slab machinery in an optional leaves the
     // slab path's schedule byte-identical to the unconditional build.
-    auto charge_flops = [&](double flops) {
-      comm.compute(flops * cost.seconds_per_flop);
-    };
+    const std::function<void(double)> charge_flops = phys.flop_charge();
     const bool pencil =
         config.use_pme && spec_.pme_mode == PmeMode::kPencil;
     std::optional<pme::ParallelPme> ppme;
@@ -849,12 +735,14 @@ class SpatialDecomposition final : public Decomposition {
     }
 
     // Epoch state, frozen between rebuilds.
-    std::vector<int> owned;
+    std::vector<int>& owned = phys.owned.emplace();
     std::vector<std::uint8_t> owned_mask(natoms, 0);
     std::vector<std::vector<int>> send_ids(nn);  // to nbrs[k], sorted
     std::vector<std::vector<int>> recv_ids(nn);  // ghosts from nbrs[k]
     std::vector<int> candidates;
-    std::size_t owned_excl = 0;
+    TermShare share;
+    share.owned_mask = &owned_mask;
+    share.candidates = &candidates;
     std::size_t migrated = 0;
 
     // Reused wire buffers (payloads are doubles; atom ids are exact in a
@@ -862,6 +750,7 @@ class SpatialDecomposition final : public Decomposition {
     std::vector<std::vector<double>> out(nn);
     std::vector<double> in(1 + 7 * natoms);
     std::vector<double> gather_buf;
+    std::vector<int> gather_ids;
 
     // ldb measurement state for the current epoch: per-unit work counts
     // and cumulative model-cost accumulators per measured phase. The
@@ -888,7 +777,8 @@ class SpatialDecomposition final : public Decomposition {
             units->cell_unit[static_cast<std::size_t>(
                 layout.cell_of(pos[static_cast<std::size_t>(i)]))];
       }
-      epoch_work = count_unit_work(units->nunits, topo, nbl, unit_of_row);
+      epoch_work =
+          count_unit_work(units->nunits, topo, phys.nbl, unit_of_row);
       for (int i = 0; i < 3; ++i) {
         measured_snap[static_cast<std::size_t>(i)] = measured_cum(i);
         model_snap[static_cast<std::size_t>(i)] =
@@ -918,10 +808,53 @@ class SpatialDecomposition final : public Decomposition {
       for (const auto& r : recv_ids) {
         candidates.insert(candidates.end(), r.begin(), r.end());
       }
-      owned_excl = 0;
+      share.owned_excl = 0;
       for (const auto& [i, j] : topo.excluded_pairs()) {
         (void)j;
-        if (owned_mask[static_cast<std::size_t>(i)]) ++owned_excl;
+        if (owned_mask[static_cast<std::size_t>(i)]) ++share.owned_excl;
+      }
+    };
+
+    // Wire formats of the schedules below, all doubles:
+    //   rows   — raw coordinates of rows both sides already know;
+    //   id set — [n, ids x n, positions x n] of rows the receiver learns;
+    //   atoms  — [n, (id, pos, vel) x n] of atoms changing owner, with the
+    //            count patched in once the records are packed.
+    auto pack_rows = [](std::vector<double>& b, const std::vector<Vec3>& v,
+                        const std::vector<int>& ids) {
+      for (int i : ids) append_xyz(b, v[static_cast<std::size_t>(i)]);
+    };
+    auto pack_id_set = [&](std::vector<double>& b,
+                           const std::vector<int>& ids) {
+      b.push_back(static_cast<double>(ids.size()));
+      for (int i : ids) b.push_back(static_cast<double>(i));
+      pack_rows(b, pos, ids);
+    };
+    auto unpack_id_set = [&](std::vector<int>& ids) {
+      const auto n = static_cast<std::size_t>(in[0]);
+      ids.resize(n);
+      for (std::size_t a = 0; a < n; ++a) {
+        ids[a] = static_cast<int>(in[1 + a]);
+        const double* r = in.data() + 1 + n + 3 * a;
+        pos[static_cast<std::size_t>(ids[a])] = {r[0], r[1], r[2]};
+      }
+    };
+    auto pack_atom = [&](std::vector<double>& b, int i) {
+      b.push_back(static_cast<double>(i));
+      append_xyz(b, pos[static_cast<std::size_t>(i)]);
+      append_xyz(b, vel[static_cast<std::size_t>(i)]);
+    };
+    auto seal_atoms = [](std::vector<double>& b) {
+      b[0] = static_cast<double>((b.size() - 1) / 7);
+    };
+    auto unpack_atoms = [&](std::vector<int>& keep) {
+      const auto n = static_cast<std::size_t>(in[0]);
+      for (std::size_t a = 0; a < n; ++a) {
+        const double* r = in.data() + 1 + 7 * a;
+        const int id = static_cast<int>(r[0]);
+        pos[static_cast<std::size_t>(id)] = {r[1], r[2], r[3]};
+        vel[static_cast<std::size_t>(id)] = {r[4], r[5], r[6]};
+        keep.push_back(id);
       }
     };
 
@@ -939,9 +872,8 @@ class SpatialDecomposition final : public Decomposition {
       std::vector<int> keep;
       keep.reserve(owned.size());
       for (int i : owned) {
-        const auto ui = static_cast<std::size_t>(i);
         const int r = layout.cell_rank[static_cast<std::size_t>(
-            layout.cell_of(pos[ui]))];
+            layout.cell_of(pos[static_cast<std::size_t>(i)]))];
         if (r == me) {
           keep.push_back(i);
           continue;
@@ -951,32 +883,17 @@ class SpatialDecomposition final : public Decomposition {
                       "atom migrated beyond the neighbor shell in one "
                       "epoch; the list rebuild interval is too long for "
                       "this timestep");
-        auto& b = out[static_cast<std::size_t>(it - nbrs.begin())];
-        b.push_back(static_cast<double>(i));
-        b.push_back(pos[ui].x);
-        b.push_back(pos[ui].y);
-        b.push_back(pos[ui].z);
-        b.push_back(vel[ui].x);
-        b.push_back(vel[ui].y);
-        b.push_back(vel[ui].z);
+        pack_atom(out[static_cast<std::size_t>(it - nbrs.begin())], i);
         ++migrated;
       }
       for (std::size_t k = 0; k < nn; ++k) {
-        out[k][0] = static_cast<double>((out[k].size() - 1) / 7);
+        seal_atoms(out[k]);
         comm.send(nbrs[k], tag, out[k].data(),
                   out[k].size() * sizeof(double), /*exchange=*/true);
       }
       for (std::size_t k = 0; k < nn; ++k) {
         comm.recv(nbrs[k], tag, in.data(), in.size() * sizeof(double));
-        const auto n = static_cast<std::size_t>(in[0]);
-        for (std::size_t a = 0; a < n; ++a) {
-          const double* rec_ptr = in.data() + 1 + 7 * a;
-          const int id = static_cast<int>(rec_ptr[0]);
-          const auto uid = static_cast<std::size_t>(id);
-          pos[uid] = {rec_ptr[1], rec_ptr[2], rec_ptr[3]};
-          vel[uid] = {rec_ptr[4], rec_ptr[5], rec_ptr[6]};
-          keep.push_back(id);
-        }
+        unpack_atoms(keep);
       }
       std::sort(keep.begin(), keep.end());
       owned = std::move(keep);
@@ -1001,28 +918,13 @@ class SpatialDecomposition final : public Decomposition {
       for (std::size_t k = 0; k < nn; ++k) {
         auto& b = out[k];
         b.clear();
-        b.push_back(static_cast<double>(send_ids[k].size()));
-        for (int i : send_ids[k]) b.push_back(static_cast<double>(i));
-        for (int i : send_ids[k]) {
-          const auto ui = static_cast<std::size_t>(i);
-          b.push_back(pos[ui].x);
-          b.push_back(pos[ui].y);
-          b.push_back(pos[ui].z);
-        }
+        pack_id_set(b, send_ids[k]);
         comm.send(nbrs[k], tag, b.data(), b.size() * sizeof(double),
                   /*exchange=*/true);
       }
       for (std::size_t k = 0; k < nn; ++k) {
         comm.recv(nbrs[k], tag, in.data(), in.size() * sizeof(double));
-        const auto n = static_cast<std::size_t>(in[0]);
-        recv_ids[k].resize(n);
-        for (std::size_t a = 0; a < n; ++a) {
-          recv_ids[k][a] = static_cast<int>(in[1 + a]);
-        }
-        for (std::size_t a = 0; a < n; ++a) {
-          const double* r = in.data() + 1 + n + 3 * a;
-          pos[static_cast<std::size_t>(recv_ids[k][a])] = {r[0], r[1], r[2]};
-        }
+        unpack_id_set(recv_ids[k]);
       }
     };
 
@@ -1035,12 +937,7 @@ class SpatialDecomposition final : public Decomposition {
         if (send_ids[k].empty()) continue;
         auto& b = out[k];
         b.clear();
-        for (int i : send_ids[k]) {
-          const auto ui = static_cast<std::size_t>(i);
-          b.push_back(pos[ui].x);
-          b.push_back(pos[ui].y);
-          b.push_back(pos[ui].z);
-        }
+        pack_rows(b, pos, send_ids[k]);
         comm.send(nbrs[k], tag, b.data(), b.size() * sizeof(double),
                   /*exchange=*/true);
       }
@@ -1064,12 +961,7 @@ class SpatialDecomposition final : public Decomposition {
         if (recv_ids[k].empty()) continue;
         auto& b = out[k];
         b.clear();
-        for (int i : recv_ids[k]) {
-          const auto ui = static_cast<std::size_t>(i);
-          b.push_back(forces[ui].x);
-          b.push_back(forces[ui].y);
-          b.push_back(forces[ui].z);
-        }
+        pack_rows(b, forces, recv_ids[k]);
         comm.send(nbrs[k], tag, b.data(), b.size() * sizeof(double),
                   /*exchange=*/true);
       }
@@ -1093,14 +985,7 @@ class SpatialDecomposition final : public Decomposition {
       const int tag = schedule_tag(step, 4);
       auto& b = gather_buf;
       b.clear();
-      b.push_back(static_cast<double>(owned.size()));
-      for (int i : owned) b.push_back(static_cast<double>(i));
-      for (int i : owned) {
-        const auto ui = static_cast<std::size_t>(i);
-        b.push_back(pos[ui].x);
-        b.push_back(pos[ui].y);
-        b.push_back(pos[ui].z);
-      }
+      pack_id_set(b, owned);
       for (int k = 1; k < p; ++k) {
         comm.send((me + k) % p, tag, b.data(), b.size() * sizeof(double),
                   /*exchange=*/true);
@@ -1108,11 +993,7 @@ class SpatialDecomposition final : public Decomposition {
       for (int k = 1; k < p; ++k) {
         comm.recv((me - k + p) % p, tag, in.data(),
                   in.size() * sizeof(double));
-        const auto n = static_cast<std::size_t>(in[0]);
-        for (std::size_t a = 0; a < n; ++a) {
-          const double* r = in.data() + 1 + n + 3 * a;
-          pos[static_cast<std::size_t>(in[1 + a])] = {r[0], r[1], r[2]};
-        }
+        unpack_id_set(gather_ids);
       }
     };
 
@@ -1179,9 +1060,8 @@ class SpatialDecomposition final : public Decomposition {
         std::vector<std::vector<double>> unit_out(my_moved.size());
         for (auto& b : unit_out) b.push_back(0.0);
         for (int i : owned) {
-          const auto ui = static_cast<std::size_t>(i);
           const int u = units->cell_unit[static_cast<std::size_t>(
-              layout.cell_of(pos[ui]))];
+              layout.cell_of(pos[static_cast<std::size_t>(i)]))];
           if (new_map[static_cast<std::size_t>(u)] == me) {
             keep.push_back(i);
             continue;
@@ -1190,18 +1070,12 @@ class SpatialDecomposition final : public Decomposition {
               std::lower_bound(my_moved.begin(), my_moved.end(), u);
           REPRO_REQUIRE(it != my_moved.end() && *it == u,
                         "owned atom in a unit this rank does not own");
-          auto& b = unit_out[static_cast<std::size_t>(it - my_moved.begin())];
-          b.push_back(static_cast<double>(i));
-          b.push_back(pos[ui].x);
-          b.push_back(pos[ui].y);
-          b.push_back(pos[ui].z);
-          b.push_back(vel[ui].x);
-          b.push_back(vel[ui].y);
-          b.push_back(vel[ui].z);
+          pack_atom(unit_out[static_cast<std::size_t>(it - my_moved.begin())],
+                    i);
         }
         for (std::size_t k = 0; k < my_moved.size(); ++k) {
           auto& b = unit_out[k];
-          b[0] = static_cast<double>((b.size() - 1) / 7);
+          seal_atoms(b);
           comm.send(new_map[static_cast<std::size_t>(my_moved[k])], tag,
                     b.data(), b.size() * sizeof(double), /*exchange=*/true);
         }
@@ -1209,15 +1083,7 @@ class SpatialDecomposition final : public Decomposition {
           if (new_map[static_cast<std::size_t>(u)] != me) continue;
           comm.recv(unit_rank[static_cast<std::size_t>(u)], tag, in.data(),
                     in.size() * sizeof(double));
-          const auto n = static_cast<std::size_t>(in[0]);
-          for (std::size_t a = 0; a < n; ++a) {
-            const double* rec_ptr = in.data() + 1 + 7 * a;
-            const int id = static_cast<int>(rec_ptr[0]);
-            const auto uid = static_cast<std::size_t>(id);
-            pos[uid] = {rec_ptr[1], rec_ptr[2], rec_ptr[3]};
-            vel[uid] = {rec_ptr[4], rec_ptr[5], rec_ptr[6]};
-            keep.push_back(id);
-          }
+          unpack_atoms(keep);
         }
       }
       std::sort(keep.begin(), keep.end());
@@ -1255,55 +1121,19 @@ class SpatialDecomposition final : public Decomposition {
           exchange_ghosts(step);
         }
         refresh_derived();
-        {
-          perf::PhaseScope phase(rec, "list_build");
-          nbl.build_subset(topo, box, pos, candidates, owned_mask);
-          comm.compute(cost.seconds_per_list_pair *
-                       static_cast<double>(nbl.npairs()) * 2.0);
-          local_pairs = nbl.npairs();
-        }
+        phys.build_list(share);
+        local_pairs = phys.nbl.npairs();
         if (ldb_on) begin_measurement();
       }
 
       halo_positions(step);
 
-      std::fill(forces.begin(), forces.end(), Vec3{});
+      phys.zero_forces();
       md::EnergyTerms energy;
-
-      {
-        perf::PhaseScope phase(rec, "bonded");
-        const md::BondedWork bw = md::bonded_energy_owned(
-            topo, box, pos, owned_mask, forces, energy);
-        const double sec = cost.seconds_per_bonded_term *
-                           static_cast<double>(bw.total());
-        comm.compute(sec);
-        model_cum[0] += sec;
-      }
-
-      {
-        perf::PhaseScope phase(rec, "nonbonded");
-        const md::NonbondedWork nw = md::nonbonded_energy(
-            topo, box, pos, nbl, nb, forces, energy, 0, 1);
-        const double sec = cost.seconds_per_pair *
-                           static_cast<double>(nw.pairs_listed);
-        comm.compute(sec);
-        model_cum[1] += sec;
-      }
+      const std::array<double, 3> sec = phys.classic_terms(share, energy);
+      for (std::size_t i = 0; i < sec.size(); ++i) model_cum[i] += sec[i];
 
       if (config.use_pme) {
-        {
-          perf::PhaseScope phase(rec, "ewald_corr");
-          energy.ewald_excl += pme::ewald_exclusion_correction_owned(
-              topo, box, pos, owned_mask, config.pme.beta, forces);
-          const double sec = cost.seconds_per_bonded_term *
-                             static_cast<double>(owned_excl);
-          comm.compute(sec);
-          model_cum[2] += sec;
-        }
-        if (me == 0) {
-          energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
-        }
-
         rec.set_component(perf::Component::kPme);
         if (config.coherency_barriers) mw.synchronize();
         if (pencil) {
@@ -1343,25 +1173,10 @@ class SpatialDecomposition final : public Decomposition {
 
       {
         perf::PhaseScope phase(rec, "energy_reduce");
-        std::array<double, md::EnergyTerms::kCount> earr = energy.to_array();
-        mw.global_sum(earr.data(), earr.size());
-        energy = md::EnergyTerms::from_array(earr);
+        global_sum_energy(mw, energy);
       }
       result.last_energy = energy;
-
-      rec.set_component(perf::Component::kOther);
-      {
-        perf::PhaseScope phase(rec, "integrate");
-        comm.compute(cost.seconds_per_integration_atom *
-                     static_cast<double>(owned.size()));
-      }
-      const double kick = config.dt_ps * units::kForceToAccel;
-      for (int i : owned) {
-        const auto ui = static_cast<std::size_t>(i);
-        vel[ui] += forces[ui] * (kick / topo.atom(i).mass);
-        pos[ui] += vel[ui] * config.dt_ps;
-      }
-      rec.end_step();
+      phys.end_step();
     }
 
     // Distributed state needs one last reduction so every rank reports
@@ -1370,12 +1185,8 @@ class SpatialDecomposition final : public Decomposition {
     {
       rec.set_component(perf::Component::kOther);
       perf::PhaseScope phase(rec, "result_reduce");
-      double partial = 0.0;
-      for (int i : owned) {
-        const auto ui = static_cast<std::size_t>(i);
-        partial += pos[ui].x + pos[ui].y + pos[ui].z;
-      }
-      double tail[3] = {partial, static_cast<double>(local_pairs),
+      double tail[3] = {phys.position_checksum(),
+                        static_cast<double>(local_pairs),
                         static_cast<double>(migrated)};
       mw.global_sum(tail, 3);
       result.position_checksum = tail[0];

@@ -50,7 +50,7 @@ struct SimulationConfig {
   std::uint64_t thermostat_seed = 11;
 
   // Kernel variant for the physics hot paths (util/kernel.hpp).
-  util::KernelKind kernel = util::default_kernel_kind();
+  util::KernelKind kernel = util::KernelKind::kScalar;
 };
 
 // Rejects configurations the engine cannot meaningfully run (throws

@@ -32,9 +32,10 @@ class Middleware {
   explicit Middleware(mpi::Comm& comm) : comm_(comm) {}
   virtual ~Middleware() = default;
 
-  // Virtual so group-restricted middlewares (e.g. the PME group of the
-  // task decomposition, see charmm/decomposition.cpp) can present a
-  // subset of the communicator to rank-oblivious code like the slab FFT.
+  // Virtual so a group-restricted middleware can present a subset of the
+  // communicator to rank-oblivious code: the task decomposition's PME
+  // group (charmm/decomposition.cpp) shows ParallelPme and its slab FFT
+  // only group coordinates, and supports transpose() alone.
   virtual int rank() const { return comm_.rank(); }
   virtual int size() const { return comm_.size(); }
   mpi::Comm& comm() { return comm_; }

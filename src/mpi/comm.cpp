@@ -287,11 +287,26 @@ void Comm::bcast_ring(void* data, std::size_t bytes, int root, int tag) {
   }
 }
 
+int Comm::group_rank(RankGroup group) const {
+  REPRO_REQUIRE(group.base >= 0 && group.size >= 1 &&
+                    group.base + group.size <= size(),
+                "rank group must be a non-empty range of this communicator");
+  REPRO_REQUIRE(rank() >= group.base && rank() < group.base + group.size,
+                "only the ranks of a group may call its collectives");
+  return rank() - group.base;
+}
+
 void Comm::reduce_sum(double* data, std::size_t n, int root) {
   if (size() == 1) return;
-  const int tag = next_collective_tag();
-  const int p = size();
-  const int vrank = (rank() - root + p) % p;
+  reduce_sum(data, n, root, {0, size()}, next_collective_tag());
+}
+
+void Comm::reduce_sum(double* data, std::size_t n, int root, RankGroup group,
+                      int tag) {
+  const int p = group.size;
+  const int gr = group_rank(group);
+  if (p == 1) return;
+  const int vrank = (gr - root + p) % p;
   std::vector<double> tmp(n);
   // Binomial tree, leaves to root, full vector per hop (as MPICH-1 did).
   int mask = 1;
@@ -299,11 +314,12 @@ void Comm::reduce_sum(double* data, std::size_t n, int root) {
     if ((vrank & mask) == 0) {
       const int peer = vrank | mask;
       if (peer < p) {
-        recv((peer + root) % p, tag, tmp.data(), n * sizeof(double));
+        recv(group.base + (peer + root) % p, tag, tmp.data(),
+             n * sizeof(double));
         for (std::size_t i = 0; i < n; ++i) data[i] += tmp[i];
       }
     } else {
-      const int peer = ((vrank & ~mask) + root) % p;
+      const int peer = group.base + ((vrank & ~mask) + root) % p;
       send(peer, tag, data, n * sizeof(double));
       break;
     }
@@ -456,8 +472,19 @@ void Comm::alltoallv(const void* send_buf,
                      void* recv_buf,
                      const std::vector<std::size_t>& recv_counts,
                      const std::vector<std::size_t>& recv_displs) {
-  const int p = size();
-  const int r = rank();
+  alltoallv(send_buf, send_counts, send_displs, recv_buf, recv_counts,
+            recv_displs, {0, size()}, size() > 1 ? next_collective_tag() : 0);
+}
+
+void Comm::alltoallv(const void* send_buf,
+                     const std::vector<std::size_t>& send_counts,
+                     const std::vector<std::size_t>& send_displs,
+                     void* recv_buf,
+                     const std::vector<std::size_t>& recv_counts,
+                     const std::vector<std::size_t>& recv_displs,
+                     RankGroup group, int tag) {
+  const int p = group.size;
+  const int r = group_rank(group);
   REPRO_REQUIRE(send_counts.size() == static_cast<std::size_t>(p) &&
                     recv_counts.size() == static_cast<std::size_t>(p),
                 "alltoallv: counts must have one entry per rank");
@@ -472,14 +499,13 @@ void Comm::alltoallv(const void* send_buf,
   }
   if (p == 1) return;
 
-  const int tag = next_collective_tag();
   // Pairwise exchange: in step k, talk to ranks at distance k.
   for (int k = 1; k < p; ++k) {
     const auto dst = static_cast<std::size_t>((r + k) % p);
     const auto src = static_cast<std::size_t>((r - k + p) % p);
-    send(static_cast<int>(dst), tag, in + send_displs[dst],
+    send(group.base + static_cast<int>(dst), tag, in + send_displs[dst],
          send_counts[dst], /*exchange=*/true);
-    recv(static_cast<int>(src), tag, out + recv_displs[src],
+    recv(group.base + static_cast<int>(src), tag, out + recv_displs[src],
          recv_counts[src]);
   }
 }

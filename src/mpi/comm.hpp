@@ -53,6 +53,14 @@ struct CollectiveConfig {
   BcastAlgorithm bcast = BcastAlgorithm::kBinomialTree;
 };
 
+// The contiguous ranks [base, base + size) a group-form collective runs
+// over: the whole communicator, or one task group of a decomposition that
+// runs a program of its own.
+struct RankGroup {
+  int base = 0;
+  int size = 0;
+};
+
 // Message bytes with small-buffer storage. The high-frequency messages of
 // the CHARMM workload are tiny — zero-byte barrier signals and 8-byte
 // rendezvous control tokens — so they live inline and a send allocates
@@ -169,6 +177,11 @@ class Comm {
   void barrier();  // dissemination; time counted as synchronization
   void bcast(void* data, std::size_t bytes, int root);
   void reduce_sum(double* data, std::size_t n, int root);
+  // Group form: the same binomial tree over `group` (root in group
+  // coordinates) on the caller's tag. Only the group's ranks call it, so
+  // the comm-wide collective tag counter is neither drawn nor needed.
+  void reduce_sum(double* data, std::size_t n, int root, RankGroup group,
+                  int tag);
   // Algorithm chosen by the CollectiveConfig (MPICH-1 reduce+bcast by
   // default); all variants produce identical results on every rank.
   void allreduce_sum(double* data, std::size_t n);
@@ -183,6 +196,13 @@ class Comm {
                  const std::vector<std::size_t>& send_displs, void* recv_buf,
                  const std::vector<std::size_t>& recv_counts,
                  const std::vector<std::size_t>& recv_displs);
+  // Group form: counts and displacements are indexed by group rank; the
+  // tag is the caller's (unused when the group is a single rank).
+  void alltoallv(const void* send, const std::vector<std::size_t>& send_counts,
+                 const std::vector<std::size_t>& send_displs, void* recv_buf,
+                 const std::vector<std::size_t>& recv_counts,
+                 const std::vector<std::size_t>& recv_displs, RankGroup group,
+                 int tag);
 
   // While a SyncScope is active, all point-to-point time (and the bytes) of
   // this rank is recorded as synchronization — used for barriers and for
@@ -232,6 +252,8 @@ class Comm {
   // Removes and returns the earliest-arriving matching packet, if any.
   bool try_match(int src, int tag, Packet& out, double& arrival);
 
+  // This rank's coordinate in `group`, of which it must be a member.
+  int group_rank(RankGroup group) const;
   void bcast_binomial(void* data, std::size_t bytes, int root, int tag);
   void bcast_ring(void* data, std::size_t bytes, int root, int tag);
   void allreduce_recursive_doubling(double* data, std::size_t n);

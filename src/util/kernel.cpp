@@ -1,6 +1,5 @@
 #include "util/kernel.hpp"
 
-#include <cstdlib>
 #include <string>
 
 #include "util/error.hpp"
@@ -24,11 +23,6 @@ KernelKind parse_kernel_kind(std::string_view name) {
               "' (expected scalar or simd)");
 }
 
-KernelKind default_kernel_kind() {
-  if (const char* env = std::getenv("REPRO_KERNEL")) {
-    return parse_kernel_kind(env);
-  }
-  return KernelKind::kScalar;
-}
+KernelKind default_kernel_kind() { return KernelKind::kScalar; }
 
 }  // namespace repro::util

@@ -6,8 +6,7 @@
 // (tests/kernel_variant_test.cpp).
 //
 // Selection is a runtime swept factor (--kernel=scalar|simd on the CLI,
-// REPRO_KERNEL in the environment), mirroring the engine-backend factor in
-// sim/engine.hpp. Both variants feed identical work counters into the cost
+// CharmmConfig::kernel in code). Both variants feed identical work counters into the cost
 // model, so simulated timings are kernel-independent by construction —
 // the variants differ only in host-side wall clock (bench/kernels_*).
 #pragma once
@@ -27,9 +26,7 @@ const char* to_string(KernelKind kind);
 // util::Error (trailing garbage included — "simd2" is rejected).
 KernelKind parse_kernel_kind(std::string_view name);
 
-// REPRO_KERNEL=scalar|simd overrides the compiled-in default (scalar).
-// The env var is the kill switch: it rewires every default-constructed
-// config without touching call sites.
+// The default variant, scalar (perfbench's run records name it).
 KernelKind default_kernel_kind();
 
 }  // namespace repro::util

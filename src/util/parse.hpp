@@ -17,7 +17,7 @@ namespace repro::util {
 
 // Parses a decimal integer in [min_value, INT_MAX]: digits only, so no
 // sign, whitespace or trailing characters. `what` names the input in the
-// error (e.g. "--steps" or "REPRO_JOBS").
+// error (e.g. "--steps" or "--jobs").
 inline int parse_int(const std::string& text, const std::string& what,
                      int min_value = 1) {
   const std::string expected = what + ": expected an integer >= " +

@@ -6,9 +6,11 @@
 // contract of the fault layer; see net/faults.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -27,6 +29,17 @@ const std::vector<net::Network>& all_networks() {
   return nets;
 }
 
+// Test-name fragment for a network stack.
+std::string stack_name(net::Network network) {
+  switch (network) {
+    case net::Network::kTcpGigE: return "TcpGigE";
+    case net::Network::kScoreGigE: return "ScoreGigE";
+    case net::Network::kMyrinetGM: return "MyrinetGM";
+    case net::Network::kTcpFastEthernet: return "TcpFastE";
+  }
+  return "?";
+}
+
 // A fault mix exercising every mechanism the cluster size allows: packet
 // loss plus a straggler always; link degradation and a mid-run stall
 // window once a second node exists to host them.
@@ -42,9 +55,12 @@ net::FaultSpec test_faults(int nranks) {
 }
 
 // Runs `body` on every rank of a simulated cluster with faults optionally
-// armed. Two ranks per node so both the intra- and cross-node paths run.
-void run_cluster(net::Network network, int nranks, bool with_faults,
-                 const std::function<void(Comm&)>& body) {
+// armed, then `check` on the cluster's counters. Two ranks per node so
+// both the intra- and cross-node paths run.
+void run_cluster(
+    net::Network network, int nranks, bool with_faults,
+    const std::function<void(Comm&)>& body,
+    const std::function<void(const net::ClusterNetwork&)>& check = {}) {
   net::ClusterConfig config;
   config.nranks = nranks;
   config.cpus_per_node = 2;
@@ -63,6 +79,7 @@ void run_cluster(net::Network network, int nranks, bool with_faults,
   if (with_faults) {
     ASSERT_TRUE(cluster.faults_enabled());
   }
+  if (check) check(cluster);
 }
 
 // Deterministic per-rank payload bytes; distinct across ranks and sizes.
@@ -116,7 +133,9 @@ TEST_P(CollectivePropertyTest, ReduceAndAllreduceSumExactly) {
     std::vector<double> reduced(kN);
     for (std::size_t i = 0; i < kN; ++i) reduced[i] = mine(i);
     comm.reduce_sum(reduced.data(), kN, 0);
-    if (comm.rank() == 0) EXPECT_EQ(reduced, expected);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(reduced, expected);
+    }
   });
 }
 
@@ -247,6 +266,125 @@ TEST_P(CollectivePropertyTest, BarrierCompletesUnderFaults) {
   });
 }
 
+// The group forms run the same algorithms over the contiguous ranks
+// [2, 2 + g) of a 7- or 8-rank communicator on the caller's tag. Ranks
+// outside the group never call in, and the channel counters must show
+// that no message reached or left them.
+class GroupCollectivePropertyTest
+    : public ::testing::TestWithParam<
+          std::tuple<net::Network, int, int, bool>> {
+ protected:
+  static constexpr int kTag = 4242;
+
+  net::Network network() const { return std::get<0>(GetParam()); }
+  int nranks() const { return std::get<1>(GetParam()); }
+  RankGroup group() const { return {2, std::get<2>(GetParam())}; }
+  bool faults() const { return std::get<3>(GetParam()); }
+  bool member(int rank) const {
+    return rank >= group().base && rank < group().base + group().size;
+  }
+
+  // Runs `body(comm, group rank)` on the group's ranks only.
+  void run_group(const std::function<void(Comm&, int)>& body) {
+    run_cluster(
+        network(), nranks(), faults(),
+        [&](Comm& comm) {
+          if (member(comm.rank())) body(comm, comm.rank() - group().base);
+        },
+        [&](const net::ClusterNetwork& cluster) {
+          std::uint64_t messages = 0;
+          cluster.for_each_channel(
+              [&](int src, int dst, const net::ChannelStats& ch) {
+                EXPECT_TRUE(member(src) && member(dst))
+                    << ch.messages << " messages " << src << " -> " << dst;
+                messages += ch.messages;
+              });
+          EXPECT_EQ(messages > 0, group().size > 1);
+        });
+  }
+};
+
+TEST_P(GroupCollectivePropertyTest, ReduceSumsTheGroupExactly) {
+  const int g = group().size;
+  const int root = g / 2;  // group coordinates
+  run_group([&](Comm& comm, int gr) {
+    constexpr std::size_t kN = 257;
+    std::vector<double> data(kN);
+    std::vector<double> expected(kN, 0.0);
+    for (std::size_t i = 0; i < kN; ++i) {
+      const auto term = [&](int r) {
+        return static_cast<double>((r + 1) * (static_cast<int>(i) % 11 + 1));
+      };
+      data[i] = term(comm.rank());
+      for (int r = group().base; r < group().base + g; ++r) {
+        expected[i] += term(r);
+      }
+    }
+    comm.reduce_sum(data.data(), kN, root, group(), kTag);
+    if (gr == root) {
+      EXPECT_EQ(data, expected) << "rank " << comm.rank();
+    }
+  });
+}
+
+TEST_P(GroupCollectivePropertyTest, AlltoallvRoutesEveryGroupBlock) {
+  const int g = group().size;
+  run_group([&](Comm& comm, int gr) {
+    // The block from group rank a to group rank b: size and contents
+    // depend on both ends.
+    auto block_bytes = [](int a, int b) {
+      std::vector<unsigned char> data(static_cast<std::size_t>(40 + 13 * a +
+                                                               3 * b));
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<unsigned char>((a * 251 + b * 83 + i) & 0xff);
+      }
+      return data;
+    };
+    const auto n = static_cast<std::size_t>(g);
+    std::vector<std::size_t> send_counts(n), send_displs(n);
+    std::vector<std::size_t> recv_counts(n), recv_displs(n);
+    std::vector<unsigned char> send_buf;
+    std::size_t recv_total = 0;
+    for (int b = 0; b < g; ++b) {
+      const auto ub = static_cast<std::size_t>(b);
+      const auto out = block_bytes(gr, b);
+      send_counts[ub] = out.size();
+      send_displs[ub] = send_buf.size();
+      send_buf.insert(send_buf.end(), out.begin(), out.end());
+      recv_counts[ub] = block_bytes(b, gr).size();
+      recv_displs[ub] = recv_total;
+      recv_total += recv_counts[ub];
+    }
+    std::vector<unsigned char> recv_buf(recv_total, 0xee);
+    comm.alltoallv(send_buf.data(), send_counts, send_displs, recv_buf.data(),
+                   recv_counts, recv_displs, group(), kTag);
+    for (int a = 0; a < g; ++a) {
+      const auto ua = static_cast<std::size_t>(a);
+      const auto expected = block_bytes(a, gr);
+      const std::vector<unsigned char> got(
+          recv_buf.begin() + static_cast<std::ptrdiff_t>(recv_displs[ua]),
+          recv_buf.begin() +
+              static_cast<std::ptrdiff_t>(recv_displs[ua] + recv_counts[ua]));
+      EXPECT_EQ(got, expected) << "rank " << comm.rank() << " block from "
+                               << a;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GroupsOfSevenAndEight, GroupCollectivePropertyTest,
+    ::testing::Combine(::testing::ValuesIn(all_networks()),
+                       ::testing::Values(7, 8), ::testing::Values(1, 3, 5),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<
+        GroupCollectivePropertyTest::ParamType>& info) {
+      std::string name = stack_name(std::get<0>(info.param));
+      name += "_p" + std::to_string(std::get<1>(info.param));
+      name += "_g" + std::to_string(std::get<2>(info.param));
+      name += std::get<3>(info.param) ? "_faults" : "_clean";
+      return name;
+    });
+
 INSTANTIATE_TEST_SUITE_P(
     AllStacksAndSizes, CollectivePropertyTest,
     ::testing::Combine(::testing::ValuesIn(all_networks()),
@@ -254,13 +392,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<CollectivePropertyTest::ParamType>&
            info) {
-      std::string name;
-      switch (std::get<0>(info.param)) {
-        case net::Network::kTcpGigE: name = "TcpGigE"; break;
-        case net::Network::kScoreGigE: name = "ScoreGigE"; break;
-        case net::Network::kMyrinetGM: name = "MyrinetGM"; break;
-        case net::Network::kTcpFastEthernet: name = "TcpFastE"; break;
-      }
+      std::string name = stack_name(std::get<0>(info.param));
       name += "_p" + std::to_string(std::get<1>(info.param));
       name += std::get<2>(info.param) ? "_faults" : "_clean";
       return name;

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "charmm/decomp_spec.hpp"
 #include "charmm/simulation.hpp"
@@ -638,19 +640,28 @@ TEST(DecompositionModelTest, MessageAndByteCountsAreExact) {
   // coherency barriers off (their zero-byte rounds are excluded from the
   // prediction) the per-step message and byte totals must match the
   // simulator's channel counters exactly.
+  // task:pme=3 at p=6 and p=7 puts three ranks in the PME group beside
+  // three or four classic ranks, so the group reduces run on trees whose
+  // size is not a power of two.
   const pme::PmeParams grid{80, 36, 48, 4, 0.34};
   core::Platform platform;
   platform.network = net::Network::kScoreGigE;
-  for (DecompKind kind :
-       {DecompKind::kAtomReplicated, DecompKind::kForce,
-        DecompKind::kTaskPme}) {
-    for (int p : {3, 8}) {
-      CharmmConfig config = short_config(kind);
+  const std::vector<std::pair<const char*, std::vector<int>>> cases = {
+      {"atom", {3, 8}},
+      {"force", {3, 8}},
+      {"task", {3, 8}},
+      {"task:pme=3", {6, 7}},
+  };
+  for (const auto& [spec_text, procs] : cases) {
+    const DecompSpec spec = parse_decomp_spec(spec_text);
+    for (int p : procs) {
+      CharmmConfig config = short_config(spec.kind);
+      config.decomp = spec;
       config.coherency_barriers = false;
       const auto sim = run(platform, p, config);
       const core::OverheadPrediction pred = core::predict_step_overheads(
           net::params_for(platform.network), p, sysbuild::kTotalAtoms, grid,
-          DecompSpec{kind, 0});
+          spec);
       double sim_messages = 0.0;
       double sim_bytes = 0.0;
       for (const auto& ch : sim.metrics.channels) {
@@ -659,9 +670,9 @@ TEST(DecompositionModelTest, MessageAndByteCountsAreExact) {
       }
       EXPECT_DOUBLE_EQ(pred.messages_per_step() * config.nsteps,
                        sim_messages)
-          << to_string(kind) << " p=" << p;
+          << spec_text << " p=" << p;
       EXPECT_DOUBLE_EQ(pred.bytes_per_step() * config.nsteps, sim_bytes)
-          << to_string(kind) << " p=" << p;
+          << spec_text << " p=" << p;
     }
   }
 }

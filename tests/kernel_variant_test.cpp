@@ -47,18 +47,6 @@ TEST(KernelSpecTest, RejectsGarbage) {
   EXPECT_THROW(util::parse_kernel_kind("avx2"), util::Error);
 }
 
-TEST(KernelSpecTest, DefaultHonorsEnvironment) {
-  ASSERT_EQ(std::getenv("REPRO_KERNEL"), nullptr)
-      << "test must run without REPRO_KERNEL set";
-  EXPECT_EQ(util::default_kernel_kind(), KernelKind::kScalar);
-  ::setenv("REPRO_KERNEL", "simd", 1);
-  EXPECT_EQ(util::default_kernel_kind(), KernelKind::kSimd);
-  ::setenv("REPRO_KERNEL", "turbo", 1);
-  EXPECT_THROW(util::default_kernel_kind(), util::Error);
-  ::unsetenv("REPRO_KERNEL");
-  EXPECT_EQ(util::default_kernel_kind(), KernelKind::kScalar);
-}
-
 TEST(PowerSpecTest, ParsesAndRoundTrips) {
   const perf::PowerModel m =
       perf::parse_power_spec("static=55,dynamic=25.5,phase:pme_fft=18");
